@@ -5,8 +5,8 @@
 // a full scan of the 128-row dept memory per token, and two hash probes
 // with a residual inequality. Per-token per-rule join work therefore
 // dominates, which is the regime the parallel match stage targets: rules
-// own disjoint memories, so the per-rule tasks fan out across the pool
-// while staged P-node deltas merge back in serial order.
+// own disjoint memories and P-nodes, so the per-rule tasks fan out across
+// the pool with nothing to merge afterwards.
 //
 // Output: tokens/second per {size × mode}, where mode is per-token (serial)
 // or batch with 0/1/2/4/8 match threads; batch rows also report flushes,

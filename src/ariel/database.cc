@@ -603,11 +603,11 @@ Result<std::vector<AuditViolation>> Database::AuditNetwork() {
           "relation " + rel_name, std::move(problem)});
     }
   }
-  // A flushed batch must leave nothing behind: no deferred tokens in the
-  // transition manager, no rule still staging P-node deltas.
+  // Every flush point precedes quiescence: no token may still be deferred
+  // in the transition manager's batch.
   if (transitions_->pending_batch_tokens() > 0) {
     violations.push_back(AuditViolation{
-        AuditViolationKind::kStagedDeltasPending, "transition-manager",
+        AuditViolationKind::kBatchTokensPending, "transition-manager",
         std::to_string(transitions_->pending_batch_tokens()) +
             " token(s) still deferred in the batch at quiescence"});
   }

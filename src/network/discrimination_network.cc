@@ -1,7 +1,8 @@
 #include "network/discrimination_network.h"
 
 #include <algorithm>
-#include <limits>
+#include <span>
+#include <utility>
 
 #include "util/metrics.h"
 
@@ -44,23 +45,68 @@ void DiscriminationNetwork::NoteArrival(RuleNetwork* rule) {
   }
 }
 
+namespace {
+
+/// One rule's share of a propagation: its arrivals in token order and the
+/// outcome of running them.
+struct RuleWork {
+  RuleNetwork* rule = nullptr;
+  std::vector<RuleNetwork::Arrival> arrivals;
+  Status status;
+  uint32_t failed_token = 0;
+};
+
+/// Error precedence: the failure at the earliest token, the lower rule
+/// ordinal breaking ties. Per-token propagation reports the same failure,
+/// since a rule's outcome on a token depends only on its own earlier
+/// arrivals.
+Status FirstFailure(const std::vector<RuleWork>& works) {
+  const RuleWork* first = nullptr;
+  for (const RuleWork& work : works) {
+    if (work.status.ok()) continue;
+    if (first == nullptr ||
+        std::pair(work.failed_token, work.rule->ordinal()) <
+            std::pair(first->failed_token, first->rule->ordinal())) {
+      first = &work;
+    }
+  }
+  return first == nullptr ? Status::OK() : first->status;
+}
+
+}  // namespace
+
 Status DiscriminationNetwork::ProcessToken(const Token& token) {
   ScopedTimer timer(Metrics().token_process_ns);
   ++tokens_processed_;
   if (token_listener_) token_listener_(token);
   ARIEL_ASSIGN_OR_RETURN(std::vector<ConditionMatch> matches,
                          selection_.Match(token));
-  RuleNetwork::ProcessedMemories processed;
+  const uint64_t epoch = AdvanceEpoch();
+  token_arrivals_.clear();
   for (const ConditionMatch& match : matches) {
-    // The memory joins the token's ProcessedMemories set at arrival, before
-    // its joins run (§4.2) — this is what makes self-joins through virtual
-    // α-memories produce each pairing exactly once.
-    processed.insert(match.rule->alpha(match.alpha_ordinal));
     NoteArrival(match.rule);
-    ARIEL_RETURN_NOT_OK(
-        match.rule->Arrive(token, match.alpha_ordinal, processed));
+    token_arrivals_.push_back({0, static_cast<uint32_t>(match.alpha_ordinal)});
   }
-  return Status::OK();
+  // Matches come out in registration-id order and a rule's conditions are
+  // registered contiguously, so each rule's arrivals form one run. Every
+  // run executes, and the lowest ordinal's failure wins: ProcessBatch's
+  // precedence for a batch of one.
+  Status failure;
+  const RuleNetwork* failed_rule = nullptr;
+  for (size_t begin = 0, end = 0; begin < matches.size(); begin = end) {
+    RuleNetwork* rule = matches[begin].rule;
+    while (end < matches.size() && matches[end].rule == rule) ++end;
+    uint32_t failed_token = 0;
+    Status status = rule->ArriveAll(
+        {&token, 1}, std::span(token_arrivals_).subspan(begin, end - begin),
+        epoch, &failed_token);
+    if (!status.ok() &&
+        (failed_rule == nullptr || rule->ordinal() < failed_rule->ordinal())) {
+      failed_rule = rule;
+      failure = std::move(status);
+    }
+  }
+  return failure;
 }
 
 Status DiscriminationNetwork::ProcessBatch(const std::vector<Token>& tokens) {
@@ -71,145 +117,56 @@ Status DiscriminationNetwork::ProcessBatch(const std::vector<Token>& tokens) {
 
   // Stage 1: classify the whole batch through the selection network, then
   // run the listener and arrival bookkeeping in token order — the same
-  // observable order per-token propagation produces.
+  // observable order per-token propagation produces — while routing each
+  // rule's share of the batch into one work item.
   std::vector<std::vector<ConditionMatch>> matches;
   {
     ScopedTimer timer(m.batch_select_ns);
     ARIEL_ASSIGN_OR_RETURN(matches, selection_.MatchBatch(tokens));
   }
-  for (size_t i = 0; i < tokens.size(); ++i) {
-    ++tokens_processed_;
-    if (token_listener_) token_listener_(tokens[i]);
-    for (const ConditionMatch& match : matches[i]) NoteArrival(match.rule);
-  }
-
-  if (pool_ == nullptr) {
-    // Serial drain: exactly the per-token Arrive loop. ProcessedMemories
-    // resets per token and accumulates across that token's matches.
-    for (size_t i = 0; i < tokens.size(); ++i) {
-      RuleNetwork::ProcessedMemories processed;
-      for (const ConditionMatch& match : matches[i]) {
-        processed.insert(match.rule->alpha(match.alpha_ordinal));
-        ARIEL_RETURN_NOT_OK(
-            match.rule->Arrive(tokens[i], match.alpha_ordinal, processed));
-      }
-    }
-    return Status::OK();
-  }
-
-  // Stage 2: route each rule's share of the batch to one task. Rules own
-  // disjoint α/β-memories and P-nodes, so tasks touch no shared mutable
-  // state beyond relaxed metric counters; base relations are read-only for
-  // the whole flush (the hazard flush in TransitionManager guarantees it).
-  // Serial ProcessedMemories behaviour survives the split because Arrive
-  // only ever tests membership of the rule's own memories.
-  struct Item {
-    uint32_t token_seq;
-    size_t alpha_ordinal;
-  };
-  struct RuleWork {
-    RuleNetwork* rule = nullptr;
-    std::vector<Item> items;
-    std::vector<RuleNetwork::StagedDelta> staged;
-    Status status = Status::OK();
-    uint32_t failed_token = std::numeric_limits<uint32_t>::max();
-  };
-  // Selection matches come out in registration-id order and a rule's
-  // conditions are registered contiguously, so iterating rules_ (the same
-  // registration order) later replays inter-rule order exactly.
+  const uint64_t first_epoch = epoch_ + 1;
+  epoch_ += tokens.size();
   std::unordered_map<const RuleNetwork*, size_t> work_of;
   std::vector<RuleWork> works;
   for (size_t i = 0; i < tokens.size(); ++i) {
+    ++tokens_processed_;
+    if (token_listener_) token_listener_(tokens[i]);
     for (const ConditionMatch& match : matches[i]) {
+      NoteArrival(match.rule);
       auto [it, fresh] = work_of.try_emplace(match.rule, works.size());
-      if (fresh) {
-        works.emplace_back();
-        works.back().rule = match.rule;
-      }
-      works[it->second].items.push_back(
-          Item{static_cast<uint32_t>(i), match.alpha_ordinal});
+      if (fresh) works.emplace_back().rule = match.rule;
+      works[it->second].arrivals.push_back(
+          {static_cast<uint32_t>(i),
+           static_cast<uint32_t>(match.alpha_ordinal)});
     }
   }
-  std::unordered_map<const RuleNetwork*, size_t> registration_index;
-  registration_index.reserve(rules_.size());
-  for (size_t r = 0; r < rules_.size(); ++r) registration_index[rules_[r]] = r;
-  std::sort(works.begin(), works.end(),
-            [&registration_index](const RuleWork& a, const RuleWork& b) {
-              return registration_index.at(a.rule) <
-                     registration_index.at(b.rule);
-            });
 
+  // Stage 2: one task per matched rule, writing its own P-node. Rules own
+  // disjoint α/β-memories and P-nodes and their match stamps do not depend
+  // on evaluation order, so tasks touch no shared mutable state beyond
+  // relaxed metric counters; base relations are read-only for the whole
+  // flush (the hazard flush in TransitionManager guarantees it). Without a
+  // pool the same tasks run inline, in order.
   m.match_tasks.Increment(works.size());
-  const uint64_t steals_before = pool_->steals();
+  std::vector<ThreadPool::Task> tasks;
+  tasks.reserve(works.size());
+  for (RuleWork& work : works) {
+    tasks.push_back([&work, &tokens, first_epoch] {
+      work.status = work.rule->ArriveAll(tokens, work.arrivals, first_epoch,
+                                         &work.failed_token);
+    });
+  }
   {
     ScopedTimer timer(m.batch_match_ns);
-    std::vector<ThreadPool::Task> tasks;
-    tasks.reserve(works.size());
-    for (RuleWork& work : works) {
-      tasks.push_back([&work, &tokens] {
-        RuleNetwork* rule = work.rule;
-        rule->BeginStagedDeltas(&work.staged);
-        RuleNetwork::ProcessedMemories processed;
-        uint32_t current = std::numeric_limits<uint32_t>::max();
-        for (const Item& item : work.items) {
-          if (item.token_seq != current) {
-            processed.clear();
-            current = item.token_seq;
-          }
-          rule->set_staged_token_seq(item.token_seq);
-          processed.insert(rule->alpha(item.alpha_ordinal));
-          Status status = rule->Arrive(tokens[item.token_seq],
-                                       item.alpha_ordinal, processed);
-          if (!status.ok()) {
-            work.status = std::move(status);
-            work.failed_token = item.token_seq;
-            break;
-          }
-        }
-        rule->EndStagedDeltas();
-      });
-    }
-    pool_->RunAll(std::move(tasks));
-  }
-  m.match_steal_count.Increment(pool_->steals() - steals_before);
-
-  // Stage 3: deterministic merge. Works are in rule-registration order and
-  // each buffer is in token order, so a stable sort by token_seq recreates
-  // the serial P-node mutation order (token, then rule, then within-rule
-  // discovery order) exactly — including match-clock stamp assignment.
-  ScopedTimer timer(m.batch_merge_ns);
-  struct MergeOp {
-    RuleNetwork* rule;
-    const RuleNetwork::StagedDelta* delta;
-  };
-  std::vector<MergeOp> ops;
-  for (RuleWork& work : works) {
-    ops.reserve(ops.size() + work.staged.size());
-    for (const RuleNetwork::StagedDelta& delta : work.staged) {
-      ops.push_back(MergeOp{work.rule, &delta});
+    if (pool_ == nullptr) {
+      for (ThreadPool::Task& task : tasks) task();
+    } else {
+      const uint64_t steals_before = pool_->steals();
+      pool_->RunAll(std::move(tasks));
+      m.match_steal_count.Increment(pool_->steals() - steals_before);
     }
   }
-  std::stable_sort(ops.begin(), ops.end(),
-                   [](const MergeOp& a, const MergeOp& b) {
-                     return a.delta->token_seq < b.delta->token_seq;
-                   });
-  for (const MergeOp& op : ops) {
-    ARIEL_RETURN_NOT_OK(op.rule->ApplyStagedDelta(*op.delta));
-  }
-
-  // Error precedence mirrors serial propagation: the failure triggered by
-  // the earliest token (rule order breaking ties, because works are already
-  // rule-ordered) is the one a per-token run would have hit first.
-  const RuleWork* first_failure = nullptr;
-  for (const RuleWork& work : works) {
-    if (work.status.ok()) continue;
-    if (first_failure == nullptr ||
-        work.failed_token < first_failure->failed_token) {
-      first_failure = &work;
-    }
-  }
-  if (first_failure != nullptr) return first_failure->status;
-  return Status::OK();
+  return FirstFailure(works);
 }
 
 void DiscriminationNetwork::OnTransitionEnd() {

@@ -23,28 +23,35 @@ class DiscriminationNetwork {
   [[nodiscard]] Status AddRule(RuleNetwork* rule);
   void RemoveRule(RuleNetwork* rule);
 
-  /// Propagates one token: the selection network finds the α-memories it
-  /// reaches; each arrival updates the memory, joins (for insertions), and
-  /// maintains the P-node. ProcessedMemories grows across arrivals of the
-  /// same token, implementing the paper's virtual-memory self-join protocol.
+  /// Propagates one token under the next match epoch: the selection network
+  /// finds the α-memories it reaches; each arrival updates the memory, joins
+  /// (for insertions), and maintains the P-node. ProcessedMemories grows
+  /// across a rule's arrivals of the same token, implementing the paper's
+  /// virtual-memory self-join protocol (RuleNetwork::ArriveAll).
   [[nodiscard]] Status ProcessToken(const Token& token);
 
-  /// Propagates a whole token batch (a TransitionManager flush):
+  /// Propagates a whole token batch (a TransitionManager flush); token i
+  /// takes match epoch base + i, exactly the epoch ProcessToken would give
+  /// it:
   ///   stage 1 — the selection network classifies every token in one pass
   ///             (MatchBatch; one ISL descent per distinct constant
-  ///             partition);
-  ///   stage 2 — per-rule join/α-memory work, serial without a pool,
-  ///             otherwise fanned out as one task per matched rule, each
-  ///             staging its P-node deltas locally;
-  ///   stage 3 — the staged deltas are applied on the calling thread in
-  ///             (token_seq, rule registration) order.
+  ///             partition), and each rule's arrivals are collected in
+  ///             token order;
+  ///   stage 2 — one task per matched rule runs RuleNetwork::ArriveAll,
+  ///             writing its own P-node: fanned out across the pool, or
+  ///             inline in order without one.
   /// The result is byte-identical to calling ProcessToken per token: rules
   /// own disjoint memories, each rule sees its arrivals in token order, and
-  /// the merge replays P-node mutations in exactly serial order.
+  /// a P-node's match stamps depend on the token, not on when the task ran.
   [[nodiscard]] Status ProcessBatch(const std::vector<Token>& tokens);
 
-  /// Installs the worker pool for stage 2 (nullptr = serial matching).
+  /// Installs the worker pool for stage 2 (nullptr = inline matching).
   void ConfigureBatching(ThreadPool* pool) { pool_ = pool; }
+
+  /// Advances the engine's match epoch and returns it. Every token takes
+  /// one epoch; rule activation takes one for its primed P-node, so a newly
+  /// primed rule is fresher than every earlier token.
+  uint64_t AdvanceEpoch() { return ++epoch_; }
 
   /// Columnar batch classification in the selection layer (mirrors
   /// DatabaseOptions.columnar_exec); affects MatchBatch and how
@@ -95,6 +102,9 @@ class DiscriminationNetwork {
   std::vector<RuleNetwork*> dirty_dynamic_rules_;
   /// relation id → number of active virtual α-memories scanning it.
   std::unordered_map<uint32_t, size_t> virtual_scan_relations_;
+  /// ProcessToken's arrival list, kept to reuse its capacity.
+  std::vector<RuleNetwork::Arrival> token_arrivals_;
+  uint64_t epoch_ = 0;
   uint64_t tokens_processed_ = 0;
   uint64_t arrivals_ = 0;
 };

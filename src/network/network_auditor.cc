@@ -23,8 +23,8 @@ const char* AuditViolationKindToString(AuditViolationKind kind) {
     case AuditViolationKind::kIslInconsistent: return "isl-inconsistent";
     case AuditViolationKind::kJoinIndexInconsistent:
       return "join-index-inconsistent";
-    case AuditViolationKind::kStagedDeltasPending:
-      return "staged-deltas-pending";
+    case AuditViolationKind::kBatchTokensPending:
+      return "batch-tokens-pending";
     case AuditViolationKind::kUndoResidue:
       return "undo-residue";
     case AuditViolationKind::kColumnCacheIncoherent:
@@ -173,12 +173,6 @@ void AuditPnode(const RuleNetwork& rule, std::vector<AuditViolation>* out) {
 
 Status NetworkAuditor::AuditRule(const RuleNetwork& rule,
                                  std::vector<AuditViolation>* out) {
-  // A batch flush must re-enable live P-node mutation before it returns;
-  // staging still active at quiescence means a merge never ran.
-  if (rule.staging_active()) {
-    Report(out, AuditViolationKind::kStagedDeltasPending, rule.rule_name(),
-           "rule is still staging P-node deltas at quiescence");
-  }
   for (size_t i = 0; i < rule.num_vars(); ++i) {
     ARIEL_RETURN_NOT_OK(AuditAlphaMemory(rule, *rule.alpha(i), out));
   }

@@ -22,7 +22,7 @@ enum class AuditViolationKind : uint8_t {
   kPnodeStale,        // P-node instantiation's values disagree with the base
   kIslInconsistent,   // interval index disagrees with a brute-force stab
   kJoinIndexInconsistent,  // hash join index / retraction map ⇎ entry vector
-  kStagedDeltasPending,    // batch pipeline left staged/deferred work behind
+  kBatchTokensPending,     // deferred batch tokens never flushed
   kUndoResidue,            // undo log non-empty / savepoints open at quiescence
   kColumnCacheIncoherent,  // cached column batch disagrees with its source rows
 };

@@ -1,17 +1,8 @@
 #include "network/pnode.h"
 
-#include <atomic>
-
 #include "util/metrics.h"
 
 namespace ariel {
-
-namespace {
-/// Process-wide match clock: every P-node insertion anywhere draws the next
-/// tick, giving a total recency order across rules (and across engines,
-/// which is harmless — only relative order within one engine matters).
-std::atomic<uint64_t> g_match_clock{0};
-}  // namespace
 
 PNode::PNode(uint32_t relation_id, const std::string& rule_name,
              std::vector<PnodeVar> vars)
@@ -35,7 +26,7 @@ PNode::PNode(uint32_t relation_id, const std::string& rule_name,
   postings_.resize(vars_.size());
 }
 
-Status PNode::Insert(const Row& row) {
+Status PNode::Insert(const Row& row, MatchStamp stamp) {
   if (row.num_vars() != vars_.size()) {
     return Status::Internal("P-node row arity mismatch");
   }
@@ -64,7 +55,7 @@ Status PNode::Insert(const Row& row) {
   for (size_t v = 0; v < vars_.size(); ++v) {
     postings_[v][EncodeTid(row.tids[v])].push_back(rid);
   }
-  last_insert_stamp_ = ++g_match_clock;
+  last_insert_stamp_ = stamp;
   Metrics().pnode_bindings_created.Increment();
   ++lifetime_insertions_;
   return Status::OK();

@@ -1,6 +1,8 @@
 #ifndef ARIEL_NETWORK_PNODE_H_
 #define ARIEL_NETWORK_PNODE_H_
 
+#include <compare>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -13,6 +15,18 @@
 #include "util/status.h"
 
 namespace ariel {
+
+/// Recency stamp of a P-node insertion: the engine's match epoch of the
+/// token (or priming) that produced it, then the activation ordinal of the
+/// rule. Compared lexicographically, it orders insertions by event, not by
+/// the order in which rules happened to be evaluated, so rules can match in
+/// parallel and still agree with serial propagation.
+struct MatchStamp {
+  uint64_t epoch = 0;
+  uint64_t ordinal = 0;
+
+  friend auto operator<=>(const MatchStamp&, const MatchStamp&) = default;
+};
 
 /// Describes one tuple variable whose bindings a P-node stores.
 struct PnodeVar {
@@ -47,10 +61,10 @@ class PNode {
   size_t size() const { return relation_->size(); }
   bool empty() const { return relation_->empty(); }
 
-  /// Monotonic stamp of the most recent insertion (0 = never), drawn from a
-  /// process-wide match clock. OPS5-style recency conflict resolution
-  /// prefers the rule whose conflict-set entry is freshest.
-  uint64_t last_insert_stamp() const { return last_insert_stamp_; }
+  /// Stamp of the most recent insertion ({0, 0} = never). OPS5-style
+  /// recency conflict resolution prefers the rule whose conflict-set entry
+  /// is freshest.
+  MatchStamp last_insert_stamp() const { return last_insert_stamp_; }
 
   /// Lifetime count of instantiations ever inserted (observability; shown
   /// by `explain rule`).
@@ -58,7 +72,7 @@ class PNode {
 
   /// Materializes one instantiation. `row` is laid out against the rule's
   /// variable order; every slot must be filled.
-  [[nodiscard]] Status Insert(const Row& row);
+  [[nodiscard]] Status Insert(const Row& row, MatchStamp stamp);
 
   /// Removes all instantiations whose binding for variable `var_ordinal`
   /// is the tuple `tid` — O(affected) via the per-variable postings rather
@@ -93,14 +107,14 @@ class PNode {
   /// from these rather than replaying joins.
   struct State {
     std::vector<std::pair<TupleId, Tuple>> rows;  // row id → stored tuple
-    uint64_t last_insert_stamp = 0;
+    MatchStamp last_insert_stamp;
     uint64_t lifetime_insertions = 0;
   };
   State CaptureState() const;
 
   /// Replaces the live contents with `state` (postings rebuilt from the
-  /// stored tid columns). Bypasses the match clock and binding metrics —
-  /// a restore is not new match activity.
+  /// stored tid columns). Keeps the captured stamp and bypasses binding
+  /// metrics — a restore is not new match activity.
   [[nodiscard]] Status RestoreState(const State& state);
 
  private:
@@ -115,7 +129,7 @@ class PNode {
   /// row's tid column before acting, so stale entries drop out lazily.
   std::vector<std::unordered_map<int64_t, std::vector<TupleId>>> postings_;
   std::unique_ptr<HeapRelation> relation_;
-  uint64_t last_insert_stamp_ = 0;
+  MatchStamp last_insert_stamp_;
   uint64_t lifetime_insertions_ = 0;
 };
 

@@ -69,7 +69,9 @@ void AlphaMemory::InsertEntry(AlphaEntry entry) {
     Metrics().columnar_batch_invalidations.Increment();
   }
   const uint32_t slot = static_cast<uint32_t>(entries_.size());
-  slot_of_[EncodeTid(entry.tid)] = slot;
+  if (!slot_of_.insert_or_assign(EncodeTid(entry.tid), slot).second) {
+    ++shadowed_;
+  }
   if (join_index_.has_specs()) {
     // Key the entry without copying its tuple: lend the value to the
     // scratch row for evaluation, then take it back.
@@ -89,11 +91,13 @@ bool AlphaMemory::RemoveEntry(TupleId tid) {
     slot_of_.erase(it);
   } else {
     // The map keeps one slot per tid; an entry shadowed by a duplicate
-    // insert (test-driven only) is still found by scanning.
+    // insert is still found by scanning — if any entry is shadowed at all.
+    if (shadowed_ == 0) return false;
     size_t i = 0;
     while (i < entries_.size() && !(entries_[i].tid == tid)) ++i;
     if (i == entries_.size()) return false;
     slot = i;
+    --shadowed_;
   }
   ++column_version_;
   if (column_cache_ != nullptr) {
@@ -104,7 +108,11 @@ bool AlphaMemory::RemoveEntry(TupleId tid) {
   join_index_.RemoveSlot(slot, last);
   if (slot != last) {
     entries_[slot] = std::move(entries_[last]);
-    slot_of_[EncodeTid(entries_[slot].tid)] = static_cast<uint32_t>(slot);
+    // A shadowed entry whose tid the map no longer holds becomes reachable.
+    if (slot_of_.insert_or_assign(EncodeTid(entries_[slot].tid),
+                                  static_cast<uint32_t>(slot)).second) {
+      --shadowed_;
+    }
   }
   entries_.pop_back();
   Metrics().alpha_removals.Increment();
@@ -114,6 +122,7 @@ bool AlphaMemory::RemoveEntry(TupleId tid) {
 void AlphaMemory::Flush() {
   entries_.clear();
   slot_of_.clear();
+  shadowed_ = 0;
   join_index_.Clear();
   ++column_version_;
   if (column_cache_ != nullptr) {
@@ -174,19 +183,9 @@ void AlphaMemory::CorruptColumnCacheForTesting() {
 
 std::vector<std::string> AlphaMemory::AuditIncrementalState() const {
   std::vector<std::string> problems;
-  // TID→slot map ⇔ entries. Every entry's tid must resolve through the map
-  // to a slot holding that tid (for duplicate tids, to *a* matching slot),
-  // and every map entry must point in-range at a matching entry.
-  for (size_t s = 0; s < entries_.size(); ++s) {
-    auto it = slot_of_.find(EncodeTid(entries_[s].tid));
-    if (it == slot_of_.end() ||
-        it->second >= entries_.size() ||
-        !(entries_[it->second].tid == entries_[s].tid)) {
-      problems.push_back("tid-slot map does not resolve tid " +
-                         entries_[s].tid.ToString() + " (slot " +
-                         std::to_string(s) + ")");
-    }
-  }
+  // TID→slot map ⇔ entries. Every map entry must point in-range at a
+  // matching entry, and the entries no map entry reaches must be exactly
+  // the counted shadows.
   for (const auto& [enc, slot] : slot_of_) {
     if (slot >= entries_.size() ||
         EncodeTid(entries_[slot].tid) != enc) {
@@ -195,6 +194,12 @@ std::vector<std::string> AlphaMemory::AuditIncrementalState() const {
                          std::to_string(slot) +
                          " which holds a different entry");
     }
+  }
+  if (shadowed_ + slot_of_.size() != entries_.size()) {
+    problems.push_back("shadowed-entry count " + std::to_string(shadowed_) +
+                       " plus " + std::to_string(slot_of_.size()) +
+                       " mapped tids does not match " +
+                       std::to_string(entries_.size()) + " entries");
   }
   std::vector<std::string> index_problems = join_index_.Audit(
       entries_.size(), [&](size_t slot, Row* scratch) {
@@ -1012,31 +1017,31 @@ Result<bool> RuleNetwork::JoinConjunctsHold(size_t j,
 
 Status RuleNetwork::EmitInstantiation(const Row& row) {
   if (compensating_) return Status::OK();
-  if (staged_sink_ == nullptr) return pnode_->Insert(row);
-  StagedDelta delta;
-  delta.token_seq = staged_token_seq_;
-  delta.is_insert = true;
-  delta.row = row;
-  staged_sink_->push_back(std::move(delta));
-  return Status::OK();
+  return pnode_->Insert(row, MatchStamp{epoch_, ordinal_});
 }
 
 void RuleNetwork::RetractInstantiations(size_t var_ordinal, TupleId tid) {
-  if (compensating_) return;
-  if (staged_sink_ == nullptr) {
-    pnode_->RemoveByTid(var_ordinal, tid);
-    return;
-  }
-  StagedDelta delta;
-  delta.token_seq = staged_token_seq_;
-  delta.var_ordinal = var_ordinal;
-  delta.tid = tid;
-  staged_sink_->push_back(std::move(delta));
+  if (!compensating_) pnode_->RemoveByTid(var_ordinal, tid);
 }
 
-Status RuleNetwork::ApplyStagedDelta(const StagedDelta& delta) {
-  if (delta.is_insert) return pnode_->Insert(delta.row);
-  pnode_->RemoveByTid(delta.var_ordinal, delta.tid);
+Status RuleNetwork::ArriveAll(std::span<const Token> tokens,
+                              std::span<const Arrival> arrivals,
+                              uint64_t first_epoch, uint32_t* failed_token) {
+  ProcessedMemories processed;
+  uint32_t current = std::numeric_limits<uint32_t>::max();
+  for (const Arrival& arrival : arrivals) {
+    if (arrival.token != current) {
+      processed.clear();
+      current = arrival.token;
+      epoch_ = first_epoch + current;
+    }
+    processed.insert(alpha(arrival.alpha_ordinal));
+    Status status = Arrive(tokens[current], arrival.alpha_ordinal, processed);
+    if (!status.ok()) {
+      *failed_token = current;
+      return status;
+    }
+  }
   return Status::OK();
 }
 
@@ -1046,7 +1051,8 @@ void RuleNetwork::FlushDynamicMemories() {
   }
 }
 
-Status RuleNetwork::Prime(Optimizer* optimizer, bool load_pnode) {
+Status RuleNetwork::Prime(Optimizer* optimizer,
+                          std::optional<uint64_t> pnode_epoch) {
   // Load stored α-memories from the base relations.
   for (auto& alpha : alphas_) {
     if (alpha->kind() != AlphaKind::kStored) continue;
@@ -1079,12 +1085,13 @@ Status RuleNetwork::Prime(Optimizer* optimizer, bool load_pnode) {
   // Re-planning rebuilds α/β state but carries the history-dependent
   // conflict set over from the old network (PNode::RestoreState) instead of
   // recomputing it — drained instantiations must stay drained.
-  if (!load_pnode) return Status::OK();
+  if (!pnode_epoch.has_value()) return Status::OK();
   ARIEL_ASSIGN_OR_RETURN(std::vector<Row> rows,
                          RecomputeInstantiations(optimizer));
   pnode_->Clear();
   for (const Row& row : rows) {
-    ARIEL_RETURN_NOT_OK(pnode_->Insert(row));
+    ARIEL_RETURN_NOT_OK(
+        pnode_->Insert(row, MatchStamp{*pnode_epoch, ordinal_}));
   }
   return Status::OK();
 }

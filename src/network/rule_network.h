@@ -4,6 +4,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -156,10 +157,12 @@ class AlphaMemory {
   CompiledExprPtr compiled_selection_;  // against the rule scope; may be null
   std::vector<AlphaEntry> entries_;
   /// Slot of each entry keyed by encoded tid, for O(1) RemoveEntry. Holds
-  /// one slot per tid; a duplicate-tid insert (test-driven only) shadows
-  /// the earlier slot, and removal falls back to a scan for shadowed
-  /// entries.
+  /// one slot per tid; a duplicate-tid insert shadows the earlier slot.
   std::unordered_map<int64_t, uint32_t> slot_of_;
+  /// Entries slot_of_ does not reach. RemoveEntry scans for a tid the map
+  /// misses only while this is non-zero, so removing an absent tid (as
+  /// idempotent compensating tokens routinely do) stays O(1).
+  size_t shadowed_ = 0;
   JoinKeyIndex join_index_;
   size_t num_vars_ = 1;   // rule scope width, set by ConfigureJoinIndex
   Row scratch_row_;       // reused by InsertEntry for key evaluation
@@ -233,36 +236,29 @@ class RuleNetwork {
   [[nodiscard]] Status Arrive(const Token& token, size_t alpha_ordinal,
                 const ProcessedMemories& processed);
 
-  // --- Staged P-node deltas (batch propagation) ---
-  //
-  // During the parallel match stage of DiscriminationNetwork::ProcessBatch
-  // each rule runs as an independent task: α/β-memories are per-rule and
-  // mutated directly, but P-node mutations are redirected into a local
-  // buffer. The merge stage replays all buffers on one thread in serial
-  // (token_seq, rule registration) order, so P-node contents — including
-  // the recency stamps drawn from the process-wide match clock — are
-  // byte-identical to per-token propagation.
-  struct StagedDelta {
-    uint32_t token_seq = 0;  // position of the triggering token in the batch
-    bool is_insert = false;
-    Row row;                 // instantiation payload (insert only)
-    size_t var_ordinal = 0;  // retraction: variable whose binding died
-    TupleId tid;             // retraction: the dead tuple
+  /// One token reaching one of this rule's α-memories; `token` indexes the
+  /// token sequence being propagated.
+  struct Arrival {
+    uint32_t token;
+    uint32_t alpha_ordinal;
   };
 
-  /// Redirects P-node mutations into `sink` until EndStagedDeltas.
-  void BeginStagedDeltas(std::vector<StagedDelta>* sink) {
-    staged_sink_ = sink;
-    staged_token_seq_ = 0;
-  }
-  void EndStagedDeltas() { staged_sink_ = nullptr; }
-  /// Batch position of the token about to Arrive (stamped onto deltas).
-  void set_staged_token_seq(uint32_t seq) { staged_token_seq_ = seq; }
-  /// True between Begin/EndStagedDeltas — must never be observed at a
-  /// quiescence point (NetworkAuditor checks).
-  bool staging_active() const { return staged_sink_ != nullptr; }
-  /// Applies one staged delta to the P-node (merge stage, main thread).
-  [[nodiscard]] Status ApplyStagedDelta(const StagedDelta& delta);
+  /// The per-rule arrival routine shared by per-token and batch
+  /// propagation. Runs `arrivals` (in token order) through Arrive, with
+  /// ProcessedMemories reset at each new token; P-node insertions made for
+  /// tokens[i] are stamped {first_epoch + i, ordinal()}. Touches only this
+  /// rule's state, so different rules may run concurrently. Stops at the
+  /// first failure and reports the failing token's index in
+  /// `*failed_token`.
+  [[nodiscard]] Status ArriveAll(std::span<const Token> tokens,
+                                 std::span<const Arrival> arrivals,
+                                 uint64_t first_epoch, uint32_t* failed_token);
+
+  /// Activation order of the rule: the second key of its P-node's match
+  /// stamps. Assigned by RuleManager::ActivateRule and carried across
+  /// re-plans, so rebuilding a network does not reorder recency ties.
+  uint64_t ordinal() const { return ordinal_; }
+  void set_ordinal(uint64_t ordinal) { ordinal_ = ordinal; }
 
   /// Compensation mode (transaction rollback; toggled network-wide through
   /// DiscriminationNetwork::SetCompensationMode). Compensating tokens keep
@@ -292,11 +288,13 @@ class RuleNetwork {
   /// Loads stored α-memories and the P-node from current database contents
   /// (rule activation; §6 "priming"). Dynamic memories stay empty; the
   /// P-node is loaded only when no dynamic memory exists (event/transition
-  /// bindings cannot predate activation). Re-planning passes
-  /// `load_pnode = false`: α/β state is rebuilt from the heap relations but
-  /// the history-dependent conflict set is carried over from the old
-  /// network via PNode::CaptureState/RestoreState instead of recomputed.
-  [[nodiscard]] Status Prime(Optimizer* optimizer, bool load_pnode = true);
+  /// bindings cannot predate activation), stamped with `pnode_epoch`
+  /// (DiscriminationNetwork::AdvanceEpoch). Re-planning passes std::nullopt:
+  /// α/β state is rebuilt from the heap relations but the history-dependent
+  /// conflict set is carried over from the old network via
+  /// PNode::CaptureState/RestoreState instead of recomputed.
+  [[nodiscard]] Status Prime(Optimizer* optimizer,
+                             std::optional<uint64_t> pnode_epoch);
 
   // --- Live match statistics (adaptive optimizer inputs) ---
 
@@ -366,8 +364,8 @@ class RuleNetwork {
   std::vector<std::string> AuditJoinIndexes() const;
 
  private:
-  /// P-node write funnel: stages into the delta buffer when batching,
-  /// otherwise mutates the P-node directly.
+  /// P-node write funnel (no-ops while compensating); insertions carry the
+  /// stamp {epoch_, ordinal_}.
   [[nodiscard]] Status EmitInstantiation(const Row& row);
   void RetractInstantiations(size_t var_ordinal, TupleId tid);
 
@@ -496,8 +494,8 @@ class RuleNetwork {
   /// result lands in the P-node. Each level carries keyed partial-match
   /// lookup and TID→slot postings (see BetaMemory).
   std::vector<BetaMemory> beta_;
-  std::vector<StagedDelta>* staged_sink_ = nullptr;
-  uint32_t staged_token_seq_ = 0;
+  uint64_t ordinal_ = 0;
+  uint64_t epoch_ = 0;  // match epoch of the token being propagated
   bool compensating_ = false;
   bool join_hash_indexes_ = true;
   bool columnar_exec_ = true;

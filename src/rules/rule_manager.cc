@@ -54,8 +54,9 @@ Status RuleManager::ActivateRule(const std::string& raw_name) {
       std::move(compiled.join_conjuncts), join_backend_);
   network->set_join_hash_indexes(join_hash_indexes_);
   network->set_columnar_exec(columnar_exec_);
+  network->set_ordinal(next_ordinal_++);
   ARIEL_RETURN_NOT_OK(network->Init());
-  ARIEL_RETURN_NOT_OK(network->Prime(optimizer_));
+  ARIEL_RETURN_NOT_OK(network->Prime(optimizer_, network_->AdvanceEpoch()));
   ARIEL_RETURN_NOT_OK(network_->AddRule(network.get()));
 
   rule->network = std::move(network);
@@ -123,11 +124,13 @@ Status RuleManager::ReplanRule(const std::string& raw_name,
 
   // Rebuild α/β state from the heap relations, then carry over the
   // history-dependent conflict set (drained instantiations must stay
-  // drained) and the lifetime match statistics.
-  ARIEL_RETURN_NOT_OK(network->Prime(optimizer_, /*load_pnode=*/false));
+  // drained), the lifetime match statistics, and the ordinal that orders
+  // the rule's match stamps.
+  ARIEL_RETURN_NOT_OK(network->Prime(optimizer_, std::nullopt));
   ARIEL_RETURN_NOT_OK(
       network->pnode()->RestoreState(old->pnode()->CaptureState()));
   network->set_match_stats(old->match_stats());
+  network->set_ordinal(old->ordinal());
 
   network_->RemoveRule(old);
   Status added = network_->AddRule(network.get());

@@ -66,10 +66,11 @@ class RuleManager {
   /// Rebuilds an active rule's network under `strategy` (the adaptive
   /// optimizer's re-plan entry point; also driven directly by the
   /// equivalence tests). α/β state is re-primed from the heap relations
-  /// while the history-dependent conflict set and the live match statistics
-  /// are carried over, so engine state is equivalent to having run the new
-  /// shape all along. Must be called at quiescence (no transition, no
-  /// staged batch); the caller re-audits afterwards.
+  /// while the history-dependent conflict set, the live match statistics and
+  /// the rule's stamp ordinal are carried over, so engine state is
+  /// equivalent to having run the new shape all along. Must be called at
+  /// quiescence (no transition, no deferred batch tokens); the caller
+  /// re-audits afterwards.
   [[nodiscard]] Status ReplanRule(const std::string& name,
                                   const NetworkStrategy& strategy);
 
@@ -132,6 +133,8 @@ class RuleManager {
   bool columnar_exec_ = true;
 
   uint64_t next_rule_id_ = 1;
+  /// Activation counter behind RuleNetwork::ordinal.
+  uint64_t next_ordinal_ = 1;
   /// P-node relation ids come from a reserved range far above catalog ids.
   uint32_t next_pnode_id_ = 1u << 30;
   std::map<std::string, std::unique_ptr<Rule>> rules_;

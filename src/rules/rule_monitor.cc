@@ -29,8 +29,8 @@ Rule* RuleExecutionMonitor::SelectRule() {
       return challenger->priority > incumbent->priority;
     }
     if (conflict_strategy_ == ConflictStrategy::kRecency) {
-      uint64_t a = challenger->network->pnode()->last_insert_stamp();
-      uint64_t b = incumbent->network->pnode()->last_insert_stamp();
+      MatchStamp a = challenger->network->pnode()->last_insert_stamp();
+      MatchStamp b = incumbent->network->pnode()->last_insert_stamp();
       if (a != b) return a > b;
     }
     return challenger->id < incumbent->id;

@@ -365,7 +365,7 @@ struct EngineMetrics {
   // Batch propagation pipeline (TransitionManager token batching + the
   // parallel rule-matching stage; 0 everywhere when batch_tokens = 0).
   Counter batch_flushes;      // token batches propagated
-  Counter match_tasks;        // per-rule match tasks dispatched to the pool
+  Counter match_tasks;        // per-rule match tasks run by batch flushes
   Counter match_steal_count;  // cross-deque steals inside those batches
 
   // Transaction / undo layer (src/txn).
@@ -416,7 +416,8 @@ struct EngineMetrics {
   Histogram batch_tokens_per_flush;  // tokens carried by each flushed batch
   Histogram batch_select_ns;  // batch stage 1: selection-network classify
   Histogram batch_match_ns;   // batch stage 2: per-rule join/α-memory work
-  Histogram batch_merge_ns;   // batch stage 3: deterministic delta merge
+  Histogram batch_merge_ns;   // retired merge stage: always empty, kept for
+                              // readers of the histogram
   Histogram txn_rollback_ns;  // undo replay + engine-state restore per rollback
   Histogram server_command_ns;  // per-request execute+render (p50/p99 in
                                 // `show stats` via the registry render)

@@ -25,9 +25,10 @@ namespace ariel {
 /// interleave. Tasks must not throw — engine code reports through Status,
 /// which callers capture into per-task slots.
 ///
-/// The pool imposes no ordering: batch determinism comes from the staged
-/// P-node deltas being applied in serial order afterwards (see
-/// DiscriminationNetwork::ProcessBatch), never from scheduling.
+/// The pool imposes no ordering: batch determinism comes from each task
+/// owning its rule's state and stamping P-node insertions by token epoch and
+/// rule ordinal (see DiscriminationNetwork::ProcessBatch), never from
+/// scheduling.
 class ThreadPool {
  public:
   using Task = std::function<void()>;

@@ -3,12 +3,12 @@
 // parallel match stage) must be byte-identical to the per-token serial run —
 // same firing trace, same P-node contents in storage order, same final
 // relation contents. The batch pipeline reorders *work*, never *effects*:
-// staged P-node deltas merge in (token, rule-registration) order, which is
-// exactly the serial mutation order.
+// each rule sees its arrivals in token order, and P-node insertions are
+// stamped by token epoch and rule ordinal rather than by evaluation order.
 //
 // The runs use recency conflict resolution on purpose: firing order then
-// depends on P-node match-clock stamps, so trace equality also proves the
-// merge reproduces serial stamp assignment, not just final contents.
+// depends on P-node match stamps, so trace equality also proves the batch
+// path assigns the per-token stamps, not just the final contents.
 
 #include <cstdlib>
 #include <map>

@@ -132,6 +132,37 @@ TEST_F(AlphaMemoryTest, EntryStorageByTid) {
   EXPECT_TRUE(alpha.entries().empty());
 }
 
+TEST_F(AlphaMemoryTest, ShadowedDuplicateTidStillRemovable) {
+  AlphaMemory alpha(Spec(AlphaKind::kStored), 0);
+  const TupleId tid{1, 1};
+  alpha.InsertEntry(AlphaEntry{tid, Tuple(std::vector<Value>{Value::Int(1)}),
+                               Tuple()});
+  alpha.InsertEntry(AlphaEntry{TupleId{1, 2},
+                               Tuple(std::vector<Value>{Value::Int(2)}),
+                               Tuple()});
+  // The duplicate shadows the first entry's slot in the tid map.
+  alpha.InsertEntry(AlphaEntry{tid, Tuple(std::vector<Value>{Value::Int(3)}),
+                               Tuple()});
+  EXPECT_TRUE(alpha.AuditIncrementalState().empty());
+  EXPECT_TRUE(alpha.RemoveEntry(tid));  // through the map
+  EXPECT_TRUE(alpha.AuditIncrementalState().empty());
+  EXPECT_TRUE(alpha.RemoveEntry(tid));  // the shadowed entry
+  EXPECT_TRUE(alpha.AuditIncrementalState().empty());
+  ASSERT_EQ(alpha.entries().size(), 1u);
+  EXPECT_EQ(alpha.entries()[0].tid, (TupleId{1, 2}));
+  EXPECT_FALSE(alpha.RemoveEntry(tid));
+}
+
+TEST_F(AlphaMemoryTest, RemovingAbsentTidMisses) {
+  AlphaMemory alpha(Spec(AlphaKind::kStored), 0);
+  alpha.InsertEntry(AlphaEntry{TupleId{1, 1},
+                               Tuple(std::vector<Value>{Value::Int(1)}),
+                               Tuple()});
+  EXPECT_FALSE(alpha.RemoveEntry(TupleId{1, 9}));
+  EXPECT_EQ(alpha.entries().size(), 1u);
+  EXPECT_TRUE(alpha.AuditIncrementalState().empty());
+}
+
 TEST_F(AlphaMemoryTest, KindPredicates) {
   EXPECT_TRUE(AlphaMemory(Spec(AlphaKind::kStored), 0).stores_tuples());
   EXPECT_TRUE(AlphaMemory(Spec(AlphaKind::kDynamicOn), 0).stores_tuples());

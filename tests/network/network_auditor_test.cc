@@ -176,7 +176,7 @@ TEST_F(NetworkAuditorTest, DetectsDanglingPnodeBinding) {
   row.Set(0, Tuple(std::vector<Value>{Value::Int(20)}),
           TupleId{t->id(), 9999});  // dead slot
   row.Set(1, *u->Get(u->AllTupleIds()[0]), u->AllTupleIds()[0]);
-  ASSERT_OK(pnode->Insert(row));
+  ASSERT_OK(pnode->Insert(row, {}));
   std::vector<AuditViolation> violations = Audit();
   ASSERT_FALSE(violations.empty());
   EXPECT_EQ(violations[0].kind, AuditViolationKind::kPnodeDangling)
@@ -197,22 +197,11 @@ TEST_F(NetworkAuditorTest, DetectsStalePnodeBinding) {
   Row row(2);
   row.Set(0, Tuple(std::vector<Value>{Value::Int(77)}), t_tid);  // wrong value
   row.Set(1, *u->Get(u->AllTupleIds()[0]), u->AllTupleIds()[0]);
-  ASSERT_OK(pnode->Insert(row));
+  ASSERT_OK(pnode->Insert(row, {}));
   std::vector<AuditViolation> violations = Audit();
   ASSERT_FALSE(violations.empty());
   EXPECT_EQ(violations[0].kind, AuditViolationKind::kPnodeStale)
       << violations[0].ToString();
-}
-
-TEST_F(NetworkAuditorTest, StagingActiveAtQuiescenceReported) {
-  Rule* rule = db_->rules().GetRule("pair");
-  ASSERT_NE(rule, nullptr);
-  // Simulate a batch flush that never ran its merge: staging left enabled.
-  std::vector<RuleNetwork::StagedDelta> sink;
-  rule->network->BeginStagedDeltas(&sink);
-  ExpectSingleViolation(AuditViolationKind::kStagedDeltasPending, "staging");
-  rule->network->EndStagedDeltas();
-  EXPECT_TRUE(Audit().empty());
 }
 
 TEST_F(NetworkAuditorTest, DeferredBatchTokensAtQuiescenceReported) {
@@ -228,7 +217,7 @@ TEST_F(NetworkAuditorTest, DeferredBatchTokensAtQuiescenceReported) {
   EXPECT_GT(db_->transitions().pending_batch_tokens(), 0u);
   bool found = false;
   for (const AuditViolation& v : Audit()) {
-    if (v.kind == AuditViolationKind::kStagedDeltasPending) {
+    if (v.kind == AuditViolationKind::kBatchTokensPending) {
       found = true;
       EXPECT_EQ(v.rule, "transition-manager");
     }

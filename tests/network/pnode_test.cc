@@ -51,9 +51,9 @@ TEST_F(PNodeTest, SchemaLayout) {
 
 TEST_F(PNodeTest, InsertAndRemoveByTid) {
   PNode pnode = MakeTwoVar();
-  ASSERT_OK(pnode.Insert(MakeRow("a", 1.0, 1, 10, 20)));
-  ASSERT_OK(pnode.Insert(MakeRow("b", 2.0, 1, 11, 20)));
-  ASSERT_OK(pnode.Insert(MakeRow("a", 1.0, 2, 10, 21)));
+  ASSERT_OK(pnode.Insert(MakeRow("a", 1.0, 1, 10, 20), {}));
+  ASSERT_OK(pnode.Insert(MakeRow("b", 2.0, 1, 11, 20), {}));
+  ASSERT_OK(pnode.Insert(MakeRow("a", 1.0, 2, 10, 21), {}));
   EXPECT_EQ(pnode.size(), 3u);
 
   // Removing emp tid (1,10) kills the two instantiations binding it.
@@ -71,7 +71,7 @@ TEST_F(PNodeTest, RowRoundTripWithPrevious) {
   Row row = MakeRow("a", 2.0, 3, 10, 20);
   row.SetPrevious(0, Tuple(std::vector<Value>{Value::String("a"),
                                               Value::Float(1.0)}));
-  ASSERT_OK(pnode.Insert(row));
+  ASSERT_OK(pnode.Insert(row, {}));
 
   const Tuple* stored = nullptr;
   pnode.relation().ForEach([&](TupleId, const Tuple& t) { stored = &t; });
@@ -90,22 +90,38 @@ TEST_F(PNodeTest, InsertValidatesArityAndBinding) {
   unbound.Set(0, Tuple(std::vector<Value>{Value::String("a"),
                                           Value::Float(1.0)}),
               TupleId{1, 0});
-  EXPECT_FALSE(pnode.Insert(unbound).ok());  // dept slot missing
+  EXPECT_FALSE(pnode.Insert(unbound, {}).ok());  // dept slot missing
 
   Row wrong_arity(2);
   wrong_arity.Set(0, Tuple(std::vector<Value>{Value::String("a")}),
                   TupleId{1, 0});
   wrong_arity.Set(1, Tuple(std::vector<Value>{Value::Int(1)}), TupleId{2, 0});
-  EXPECT_FALSE(pnode.Insert(wrong_arity).ok());
+  EXPECT_FALSE(pnode.Insert(wrong_arity, {}).ok());
 
   Row wrong_vars(1);
-  EXPECT_FALSE(pnode.Insert(wrong_vars).ok());
+  EXPECT_FALSE(pnode.Insert(wrong_vars, {}).ok());
+}
+
+TEST_F(PNodeTest, MatchStampOrdersByEpochThenOrdinal) {
+  PNode pnode = MakeTwoVar();
+  EXPECT_EQ(pnode.last_insert_stamp(), MatchStamp{});
+  ASSERT_OK(pnode.Insert(MakeRow("a", 1.0, 1, 10, 20), MatchStamp{4, 2}));
+  EXPECT_EQ(pnode.last_insert_stamp(), (MatchStamp{4, 2}));
+  EXPECT_LT((MatchStamp{4, 9}), (MatchStamp{5, 1}));
+  EXPECT_LT((MatchStamp{5, 1}), (MatchStamp{5, 2}));
+
+  // A restore brings back the captured stamp with the captured rows.
+  PNode::State state = pnode.CaptureState();
+  ASSERT_OK(pnode.Insert(MakeRow("b", 2.0, 1, 11, 20), MatchStamp{6, 2}));
+  ASSERT_OK(pnode.RestoreState(state));
+  EXPECT_EQ(pnode.last_insert_stamp(), (MatchStamp{4, 2}));
+  EXPECT_EQ(pnode.size(), 1u);
 }
 
 TEST_F(PNodeTest, ClearAndDetachSnapshot) {
   PNode pnode = MakeTwoVar();
-  ASSERT_OK(pnode.Insert(MakeRow("a", 1.0, 1, 10, 20)));
-  ASSERT_OK(pnode.Insert(MakeRow("b", 2.0, 1, 11, 20)));
+  ASSERT_OK(pnode.Insert(MakeRow("a", 1.0, 1, 10, 20), {}));
+  ASSERT_OK(pnode.Insert(MakeRow("b", 2.0, 1, 11, 20), {}));
 
   std::unique_ptr<HeapRelation> snapshot = pnode.DetachSnapshot();
   EXPECT_EQ(snapshot->size(), 2u);
@@ -113,7 +129,7 @@ TEST_F(PNodeTest, ClearAndDetachSnapshot) {
   EXPECT_EQ(snapshot->schema(), pnode.relation().schema());
 
   // New instantiations land in the live P-node, not the snapshot.
-  ASSERT_OK(pnode.Insert(MakeRow("c", 3.0, 2, 12, 21)));
+  ASSERT_OK(pnode.Insert(MakeRow("c", 3.0, 2, 12, 21), {}));
   EXPECT_EQ(pnode.size(), 1u);
   EXPECT_EQ(snapshot->size(), 2u);
 

@@ -216,7 +216,7 @@ TEST_F(RuleNetworkTest, PrimeLoadsMemoriesAndPnode) {
   RuleNetwork net("r", 7004, std::move(specs), std::move(joins));
   ASSERT_OK(net.Init());
   Optimizer optimizer;
-  ASSERT_OK(net.Prime(&optimizer));
+  ASSERT_OK(net.Prime(&optimizer, 1));
   EXPECT_EQ(net.alpha(0)->entries().size(), 2u);  // sal 20, 30
   EXPECT_EQ(net.alpha(1)->entries().size(), 1u);
   EXPECT_EQ(net.pnode()->size(), 2u);
@@ -235,7 +235,7 @@ TEST_F(RuleNetworkTest, RecomputeRejectsDynamicRules) {
   Optimizer optimizer;
   EXPECT_FALSE(net.RecomputeInstantiations(&optimizer).ok());
   // Prime still succeeds (it just leaves the P-node empty).
-  EXPECT_OK(net.Prime(&optimizer));
+  EXPECT_OK(net.Prime(&optimizer, 1));
   EXPECT_EQ(net.pnode()->size(), 0u);
 }
 
