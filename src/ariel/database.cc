@@ -61,6 +61,7 @@ Database::Database(DatabaseOptions options)
                                          &optimizer_);
   executor_->set_undo_log(&txn_->undo_log());
   rules_ = std::make_unique<RuleManager>(&catalog_, &network_, &optimizer_);
+  rules_->set_undo_log(&txn_->undo_log());
   rules_->set_policy(options.alpha_policy);
   rules_->set_join_backend(options.join_backend);
   rules_->set_join_hash_indexes(options.join_hash_indexes);
@@ -690,20 +691,6 @@ Result<std::string> Database::ExplainPlan(std::string_view command_text) {
 
 // --- TransactionHooks ------------------------------------------------------
 
-namespace {
-
-/// The history-dependent engine state a savepoint captures: conflict sets
-/// (drained instantiations cannot be recomputed from base relations) plus
-/// the pending-alert queue length (undo tokens carry no event specifier, so
-/// rollback cannot cancel queued alerts the way an in-transition retraction
-/// does).
-struct EngineSnapshot : EngineStateSnapshot {
-  std::vector<std::pair<std::string, PNode::State>> pnodes;  // by rule name
-  size_t pending_alert_count = 0;
-};
-
-}  // namespace
-
 Status Database::ApplyUndo(UndoRecord* record) {
   switch (record->kind) {
     case UndoKind::kInsert: {
@@ -755,33 +742,24 @@ Status Database::ApplyUndo(UndoRecord* record) {
       if (rule != nullptr) rule->times_fired = record->prev_count;
       return Status::OK();
     }
+    case UndoKind::kPNodeState: {
+      // A rule deactivated since the save has no conflict set to restore
+      // (rule administration is not undoable; see DESIGN.md §9).
+      Rule* rule = rules_->GetRule(record->name);
+      if (rule == nullptr || rule->network == nullptr) return Status::OK();
+      ARIEL_RETURN_NOT_OK(rule->network->pnode()->RestoreState(
+          static_cast<const PNode::State&>(*record->payload)));
+      network_.Schedule(rule->network.get());
+      return Status::OK();
+    }
   }
   return Status::Internal("unhandled undo record kind");
 }
 
-Result<std::unique_ptr<EngineStateSnapshot>> Database::CaptureEngineState() {
-  auto snapshot = std::make_unique<EngineSnapshot>();
-  for (Rule* rule : rules_->ActiveRules()) {
-    snapshot->pnodes.emplace_back(rule->name,
-                                  rule->network->pnode()->CaptureState());
-  }
-  snapshot->pending_alert_count = pending_alerts_.size();
-  return std::unique_ptr<EngineStateSnapshot>(std::move(snapshot));
-}
+size_t Database::PendingAlertMark() const { return pending_alerts_.size(); }
 
-Status Database::RestoreEngineState(const EngineStateSnapshot& snapshot) {
-  const auto& snap = static_cast<const EngineSnapshot&>(snapshot);
-  for (const auto& [name, state] : snap.pnodes) {
-    Rule* rule = rules_->GetRule(name);
-    // A rule deactivated/removed since the snapshot has no conflict set to
-    // restore (rule administration is not undoable; see DESIGN.md §9).
-    if (rule == nullptr || rule->network == nullptr) continue;
-    ARIEL_RETURN_NOT_OK(rule->network->pnode()->RestoreState(state));
-  }
-  if (pending_alerts_.size() > snap.pending_alert_count) {
-    pending_alerts_.resize(snap.pending_alert_count);
-  }
-  return Status::OK();
+void Database::TruncatePendingAlerts(size_t mark) {
+  if (pending_alerts_.size() > mark) pending_alerts_.resize(mark);
 }
 
 void Database::BeginCompensation() { transitions_->BeginCompensation(); }

@@ -262,8 +262,8 @@ class Database : private TransactionHooks {
 
   // TransactionHooks (rollback services for txn_):
   Status ApplyUndo(UndoRecord* record) override;
-  Result<std::unique_ptr<EngineStateSnapshot>> CaptureEngineState() override;
-  Status RestoreEngineState(const EngineStateSnapshot& snapshot) override;
+  size_t PendingAlertMark() const override;
+  void TruncatePendingAlerts(size_t mark) override;
   void BeginCompensation() override;
   void EndCompensation() override;
 

@@ -16,6 +16,7 @@ Status DiscriminationNetwork::AddRule(RuleNetwork* rule) {
       ++virtual_scan_relations_[rule->alpha(i)->spec().relation->id()];
     }
   }
+  Schedule(rule);
   return Status::OK();
 }
 
@@ -25,6 +26,10 @@ void DiscriminationNetwork::RemoveRule(RuleNetwork* rule) {
   dirty_dynamic_rules_.erase(std::remove(dirty_dynamic_rules_.begin(),
                                          dirty_dynamic_rules_.end(), rule),
                              dirty_dynamic_rules_.end());
+  if (rule->scheduled()) {
+    std::erase(agenda_, rule);
+    rule->set_scheduled(false);
+  }
   for (size_t i = 0; i < rule->num_vars(); ++i) {
     if (rule->alpha(i)->is_virtual()) {
       auto it = virtual_scan_relations_.find(
@@ -34,6 +39,22 @@ void DiscriminationNetwork::RemoveRule(RuleNetwork* rule) {
       }
     }
   }
+}
+
+void DiscriminationNetwork::Schedule(RuleNetwork* rule) {
+  if (rule->scheduled() || rule->pnode()->empty()) return;
+  rule->set_scheduled(true);
+  agenda_.push_back(rule);
+}
+
+const std::vector<RuleNetwork*>& DiscriminationNetwork::PruneAgenda() {
+  Metrics().rules_select_visits.Increment(agenda_.size());
+  std::erase_if(agenda_, [](RuleNetwork* rule) {
+    if (!rule->pnode()->empty()) return false;
+    rule->set_scheduled(false);
+    return true;
+  });
+  return agenda_;
 }
 
 void DiscriminationNetwork::NoteArrival(RuleNetwork* rule) {
@@ -100,6 +121,7 @@ Status DiscriminationNetwork::ProcessToken(const Token& token) {
     Status status = rule->ArriveAll(
         {&token, 1}, std::span(token_arrivals_).subspan(begin, end - begin),
         epoch, &failed_token);
+    Schedule(rule);
     if (!status.ok() &&
         (failed_rule == nullptr || rule->ordinal() < failed_rule->ordinal())) {
       failed_rule = rule;
@@ -146,11 +168,13 @@ Status DiscriminationNetwork::ProcessBatch(const std::vector<Token>& tokens) {
   // on evaluation order, so tasks touch no shared mutable state beyond
   // relaxed metric counters; base relations are read-only for the whole
   // flush (the hazard flush in TransitionManager guarantees it). Without a
-  // pool the same tasks run inline, in order.
+  // pool the same tasks run inline, in order. The undo log is shared, so
+  // every matched P-node journals here, before any task can write it.
   m.match_tasks.Increment(works.size());
   std::vector<ThreadPool::Task> tasks;
   tasks.reserve(works.size());
   for (RuleWork& work : works) {
+    work.rule->pnode()->Journal();
     tasks.push_back([&work, &tokens, first_epoch] {
       work.status = work.rule->ArriveAll(tokens, work.arrivals, first_epoch,
                                          &work.failed_token);
@@ -166,6 +190,7 @@ Status DiscriminationNetwork::ProcessBatch(const std::vector<Token>& tokens) {
       m.match_steal_count.Increment(pool_->steals() - steals_before);
     }
   }
+  for (RuleWork& work : works) Schedule(work.rule);
   return FirstFailure(works);
 }
 

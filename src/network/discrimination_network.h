@@ -20,8 +20,22 @@ class DiscriminationNetwork {
  public:
   DiscriminationNetwork() = default;
 
+  /// Registers a rule network and schedules it (a primed or carried-over
+  /// P-node may already hold instantiations).
   [[nodiscard]] Status AddRule(RuleNetwork* rule);
   void RemoveRule(RuleNetwork* rule);
+
+  /// The conflict-set agenda: registered rules whose P-node may be
+  /// non-empty. Every rule with a non-empty P-node is on it, so conflict
+  /// resolution scans the agenda instead of every active rule. Propagation
+  /// schedules the rules that received arrivals; whoever else fills a
+  /// P-node (registration, rollback's journal restore) schedules it too.
+  /// Schedule skips empty P-nodes and rules already on the agenda.
+  void Schedule(RuleNetwork* rule);
+
+  /// Drops the agenda entries whose P-node has emptied (fired or
+  /// retracted) and returns the rest, in no particular order.
+  const std::vector<RuleNetwork*>& PruneAgenda();
 
   /// Propagates one token under the next match epoch: the selection network
   /// finds the α-memories it reaches; each arrival updates the memory, joins
@@ -39,7 +53,10 @@ class DiscriminationNetwork {
   ///             token order;
   ///   stage 2 — one task per matched rule runs RuleNetwork::ArriveAll,
   ///             writing its own P-node: fanned out across the pool, or
-  ///             inline in order without one.
+  ///             inline in order without one. Each matched rule's P-node is
+  ///             journaled (PNode::Journal) serially beforehand, so the
+  ///             tasks never append to the undo log and the log's content
+  ///             does not depend on the thread count.
   /// The result is byte-identical to calling ProcessToken per token: rules
   /// own disjoint memories, each rule sees its arrivals in token order, and
   /// a P-node's match stamps depend on the token, not on when the task ran.
@@ -73,7 +90,7 @@ class DiscriminationNetwork {
   /// Toggles compensation mode on every registered rule network (see
   /// RuleNetwork::set_compensating): rollback replays compensating tokens
   /// that heal α-memories, join indexes, and Rete β-memories but leave
-  /// P-nodes untouched — conflict sets are restored from snapshots.
+  /// P-nodes untouched — conflict sets are restored from the journal.
   void SetCompensationMode(bool on) {
     for (RuleNetwork* rule : rules_) rule->set_compensating(on);
   }
@@ -100,6 +117,7 @@ class DiscriminationNetwork {
   ThreadPool* pool_ = nullptr;
   std::vector<RuleNetwork*> rules_;
   std::vector<RuleNetwork*> dirty_dynamic_rules_;
+  std::vector<RuleNetwork*> agenda_;
   /// relation id → number of active virtual α-memories scanning it.
   std::unordered_map<uint32_t, size_t> virtual_scan_relations_;
   /// ProcessToken's arrival list, kept to reuse its capacity.

@@ -29,6 +29,8 @@ const char* AuditViolationKindToString(AuditViolationKind kind) {
       return "undo-residue";
     case AuditViolationKind::kColumnCacheIncoherent:
       return "column-cache-incoherent";
+    case AuditViolationKind::kAgendaMissing:
+      return "agenda-missing";
   }
   return "unknown";
 }
@@ -200,6 +202,14 @@ Result<std::vector<AuditViolation>> NetworkAuditor::AuditAtQuiescence(
   std::vector<AuditViolation> violations;
   for (const RuleNetwork* rule : rules) {
     ARIEL_RETURN_NOT_OK(AuditRule(*rule, &violations));
+    // Conflict resolution scans only the agenda: an instantiation pending
+    // off it would never fire.
+    if (!rule->pnode()->empty() && !rule->scheduled()) {
+      Report(&violations, AuditViolationKind::kAgendaMissing,
+             rule->rule_name(),
+             std::to_string(rule->pnode()->size()) +
+                 " pending instantiation(s), rule not on the agenda");
+    }
   }
   AuditSelection(selection, &violations);
   return violations;

@@ -25,6 +25,7 @@ enum class AuditViolationKind : uint8_t {
   kBatchTokensPending,     // deferred batch tokens never flushed
   kUndoResidue,            // undo log non-empty / savepoints open at quiescence
   kColumnCacheIncoherent,  // cached column batch disagrees with its source rows
+  kAgendaMissing,          // pending instantiations, rule not on the agenda
 };
 
 const char* AuditViolationKindToString(AuditViolationKind kind);

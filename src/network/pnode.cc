@@ -6,7 +6,7 @@ namespace ariel {
 
 PNode::PNode(uint32_t relation_id, const std::string& rule_name,
              std::vector<PnodeVar> vars)
-    : vars_(std::move(vars)) {
+    : vars_(std::move(vars)), rule_name_(rule_name) {
   Schema schema;
   for (const PnodeVar& v : vars_) {
     var_offset_.push_back(schema.num_attributes());
@@ -30,6 +30,7 @@ Status PNode::Insert(const Row& row, MatchStamp stamp) {
   if (row.num_vars() != vars_.size()) {
     return Status::Internal("P-node row arity mismatch");
   }
+  Journal();
   Tuple out;
   for (size_t v = 0; v < vars_.size(); ++v) {
     if (!row.filled[v]) {
@@ -76,6 +77,7 @@ size_t PNode::RemoveByTid(size_t var_ordinal, TupleId tid) {
       // RemoveByTid must delete.
       const Tuple* t = relation_->Get(rid);
       if (t != nullptr && t->at(tid_col).int_value() == encoded) {
+        Journal();
         ARIEL_IGNORE_STATUS(relation_->Delete(rid));  // id just checked
         ++removed;
       }
@@ -89,11 +91,16 @@ void PNode::ClearPostings() {
   for (auto& map : postings_) map.clear();
 }
 
-void PNode::Clear() {
+void PNode::DeleteRows() {
   for (TupleId row_id : relation_->AllTupleIds()) {
     ARIEL_IGNORE_STATUS(relation_->Delete(row_id));  // id just enumerated
   }
   ClearPostings();
+}
+
+void PNode::Clear() {
+  if (!empty()) Journal();
+  DeleteRows();
 }
 
 std::unique_ptr<HeapRelation> PNode::MakeFiringBuffer() const {
@@ -102,9 +109,7 @@ std::unique_ptr<HeapRelation> PNode::MakeFiringBuffer() const {
 }
 
 void PNode::DrainInto(HeapRelation* dest) {
-  for (TupleId row_id : dest->AllTupleIds()) {
-    ARIEL_IGNORE_STATUS(dest->Delete(row_id));  // id just enumerated
-  }
+  if (!empty()) Journal();
   size_t drained = 0;
   for (TupleId row_id : relation_->AllTupleIds()) {
     const Tuple* t = relation_->Get(row_id);
@@ -121,6 +126,7 @@ void PNode::DrainInto(HeapRelation* dest) {
 std::unique_ptr<HeapRelation> PNode::DetachSnapshot() {
   auto snapshot = std::make_unique<HeapRelation>(
       relation_->id(), relation_->name() + "$firing", relation_->schema());
+  if (!empty()) Journal();
   size_t drained = 0;
   for (TupleId row_id : relation_->AllTupleIds()) {
     const Tuple* t = relation_->Get(row_id);
@@ -147,7 +153,7 @@ PNode::State PNode::CaptureState() const {
 }
 
 Status PNode::RestoreState(const State& state) {
-  Clear();
+  DeleteRows();
   for (const auto& [rid, row] : state.rows) {
     // InsertAt keeps each row at its captured slot, so P-node row ids (and
     // hence scan order) survive the rollback exactly.
@@ -159,6 +165,28 @@ Status PNode::RestoreState(const State& state) {
   last_insert_stamp_ = state.last_insert_stamp;
   lifetime_insertions_ = state.lifetime_insertions;
   return Status::OK();
+}
+
+void PNode::AttachJournal(UndoLog* undo) {
+  undo_ = undo;
+  saved_seq_ = attach_seq_ = undo->frame_seq();
+}
+
+void PNode::InheritJournal(const PNode& old) {
+  undo_ = old.undo_;
+  saved_seq_ = old.saved_seq_;
+  attach_seq_ = old.attach_seq_;
+}
+
+void PNode::Journal() {
+  if (undo_ == nullptr || !undo_->enabled() ||
+      saved_seq_ == undo_->frame_seq()) {
+    return;
+  }
+  saved_seq_ = undo_->frame_seq();
+  undo_->AppendPNodeState(rule_name_, attach_seq_,
+                          std::make_unique<State>(CaptureState()));
+  Metrics().txn_pnode_saves.Increment();
 }
 
 Row PNode::ToRow(const Tuple& pnode_tuple) const {

@@ -12,6 +12,7 @@
 #include "catalog/schema.h"
 #include "exec/row.h"
 #include "storage/heap_relation.h"
+#include "txn/undo_log.h"
 #include "util/status.h"
 
 namespace ariel {
@@ -93,19 +94,20 @@ class PNode {
   /// cached action plans survive across firings).
   std::unique_ptr<HeapRelation> MakeFiringBuffer() const;
 
-  /// Moves the current contents into `dest` (cleared first) and clears this
-  /// P-node. `dest` must come from MakeFiringBuffer.
+  /// Moves the current contents into `dest` and clears this P-node. `dest`
+  /// must come from MakeFiringBuffer and be empty (the rule monitor empties
+  /// it after every firing).
   void DrainInto(HeapRelation* dest);
 
   /// Rebuilds a Row (rule-variable layout) from one stored P-node tuple;
   /// used by tests and by the equivalence checker.
   Row ToRow(const Tuple& pnode_tuple) const;
 
-  /// Point-in-time conflict-set snapshot for transaction savepoints. The
+  /// Point-in-time conflict-set snapshot, journaled for rollback. The
   /// conflict set is history-dependent (fired instantiations are drained,
   /// so it cannot be recomputed from base relations) — rollback restores it
   /// from these rather than replaying joins.
-  struct State {
+  struct State : UndoPayload {
     std::vector<std::pair<TupleId, Tuple>> rows;  // row id → stored tuple
     MatchStamp last_insert_stamp;
     uint64_t lifetime_insertions = 0;
@@ -117,8 +119,27 @@ class PNode {
   /// metrics — a restore is not new match activity.
   [[nodiscard]] Status RestoreState(const State& state);
 
+  /// Journals this conflict set into `undo`: before its first write inside
+  /// each transaction frame, the P-node appends its State as a kPNodeState
+  /// record, so rollback restores exactly the conflict sets a frame
+  /// touched. The frame open at attach time counts as saved already — a
+  /// rule activated inside a frame has no pre-frame conflict set.
+  void AttachJournal(UndoLog* undo);
+
+  /// Re-planning: the rebuilt P-node continues the old one's journal.
+  void InheritJournal(const PNode& old);
+
+  /// Saves the conflict set unless the innermost frame already holds a
+  /// save. Every write calls it first; the rule manager also calls it
+  /// before tearing a network down. Batch match tasks must not be the
+  /// first writer in a frame (the undo log is not thread-safe), so the
+  /// discrimination network journals every matched rule before fanning out.
+  void Journal();
+
  private:
   void ClearPostings();
+  /// Deletes every row without journaling (Clear and RestoreState).
+  void DeleteRows();
 
   std::vector<PnodeVar> vars_;
   /// Per variable: column offset of its tid column (attr values follow).
@@ -131,6 +152,10 @@ class PNode {
   std::unique_ptr<HeapRelation> relation_;
   MatchStamp last_insert_stamp_;
   uint64_t lifetime_insertions_ = 0;
+  std::string rule_name_;
+  UndoLog* undo_ = nullptr;  // null = not journaled
+  uint64_t saved_seq_ = 0;   // frame seq of the last save
+  uint64_t attach_seq_ = 0;  // frame seq at AttachJournal
 };
 
 }  // namespace ariel

@@ -266,10 +266,10 @@ class RuleNetwork {
   /// exact — idempotently, so partially-propagated forward tokens are
   /// healed too — but never touch the conflict set: P-nodes are
   /// history-dependent (drained instantiations must stay drained) and are
-  /// restored from savepoint snapshots instead, which also keeps rollback
-  /// joins from manufacturing spurious refires. Under TREAT the join walk
-  /// is skipped entirely (it exists only to feed the P-node); under Rete
-  /// ReteAssert still runs so β partials stay complete.
+  /// restored from their journaled states instead, which also keeps
+  /// rollback joins from manufacturing spurious refires. Under TREAT the
+  /// join walk is skipped entirely (it exists only to feed the P-node);
+  /// under Rete ReteAssert still runs so β partials stay complete.
   void set_compensating(bool on) { compensating_ = on; }
   bool compensating() const { return compensating_; }
 
@@ -284,6 +284,10 @@ class RuleNetwork {
   /// end-of-transition flushing touches only the rules a token reached.
   bool dirty_dynamic() const { return dirty_dynamic_; }
   void set_dirty_dynamic(bool dirty) { dirty_dynamic_ = dirty; }
+
+  /// Membership flag of DiscriminationNetwork's conflict-set agenda.
+  bool scheduled() const { return scheduled_; }
+  void set_scheduled(bool scheduled) { scheduled_ = scheduled; }
 
   /// Loads stored α-memories and the P-node from current database contents
   /// (rule activation; §6 "priming"). Dynamic memories stay empty; the
@@ -502,6 +506,7 @@ class RuleNetwork {
   bool initialized_ = false;
   bool has_dynamic_ = false;
   bool dirty_dynamic_ = false;
+  bool scheduled_ = false;
   LastTrigger last_trigger_;
   MatchStats match_stats_;
   /// Explicit TREAT probe order (empty = heuristic); see

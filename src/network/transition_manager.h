@@ -97,7 +97,7 @@ class TransitionManager : public StorageGateway {
   /// α-memories, TID→slot maps, join-index buckets, and Rete β-memories
   /// are maintained by the compensating tokens below, but P-node mutation
   /// is suppressed (conflict sets are history-dependent and are restored
-  /// from engine snapshots instead; joining would also refire rules).
+  /// from the P-node journal instead; joining would also refire rules).
   void BeginCompensation();
   void EndCompensation();
 

@@ -56,12 +56,19 @@ Status RuleManager::ActivateRule(const std::string& raw_name) {
   network->set_columnar_exec(columnar_exec_);
   network->set_ordinal(next_ordinal_++);
   ARIEL_RETURN_NOT_OK(network->Init());
+  if (undo_ != nullptr) network->pnode()->AttachJournal(undo_);
   ARIEL_RETURN_NOT_OK(network->Prime(optimizer_, network_->AdvanceEpoch()));
   ARIEL_RETURN_NOT_OK(network_->AddRule(network.get()));
 
+  rule_of_network_[network.get()] = rule;
   rule->network = std::move(network);
   rule->modified_action = std::move(compiled.modified_action);
   rule->active = true;
+  active_.insert(std::upper_bound(active_.begin(), active_.end(), rule,
+                                  [](const Rule* a, const Rule* b) {
+                                    return a->id < b->id;
+                                  }),
+                 rule);
   return Status::OK();
 }
 
@@ -127,6 +134,7 @@ Status RuleManager::ReplanRule(const std::string& raw_name,
   // drained), the lifetime match statistics, and the ordinal that orders
   // the rule's match stamps.
   ARIEL_RETURN_NOT_OK(network->Prime(optimizer_, std::nullopt));
+  network->pnode()->InheritJournal(*old->pnode());
   ARIEL_RETURN_NOT_OK(
       network->pnode()->RestoreState(old->pnode()->CaptureState()));
   network->set_match_stats(old->match_stats());
@@ -141,6 +149,8 @@ Status RuleManager::ReplanRule(const std::string& raw_name,
     return added;
   }
 
+  rule_of_network_.erase(old);
+  rule_of_network_[network.get()] = rule;
   rule->network = std::move(network);
   rule->modified_action = std::move(compiled.modified_action);
   rule->firing_buffer.reset();
@@ -159,12 +169,17 @@ Status RuleManager::DeactivateRule(const std::string& raw_name) {
   if (!rule->active) {
     return Status::InvalidArgument("rule \"" + name + "\" is not active");
   }
+  // A frame that rolls back after the rule is reactivated restores the
+  // conflict set it had when the frame opened, so save it before teardown.
+  rule->network->pnode()->Journal();
   network_->RemoveRule(rule->network.get());
+  rule_of_network_.erase(rule->network.get());
   rule->network.reset();
   rule->modified_action.clear();
   rule->firing_buffer.reset();
   rule->action_plans.clear();
   rule->active = false;
+  std::erase(active_, rule);
   return Status::OK();
 }
 
@@ -233,24 +248,9 @@ const Rule* RuleManager::GetRule(const std::string& name) const {
   return it == rules_.end() ? nullptr : it->second.get();
 }
 
-std::vector<Rule*> RuleManager::ActiveRules() {
-  std::vector<Rule*> out;
-  for (auto& [name, rule] : rules_) {
-    if (rule->active) out.push_back(rule.get());
-  }
-  std::sort(out.begin(), out.end(),
-            [](const Rule* a, const Rule* b) { return a->id < b->id; });
-  return out;
-}
-
-std::vector<const Rule*> RuleManager::ActiveRules() const {
-  std::vector<const Rule*> out;
-  for (const auto& [name, rule] : rules_) {
-    if (rule->active) out.push_back(rule.get());
-  }
-  std::sort(out.begin(), out.end(),
-            [](const Rule* a, const Rule* b) { return a->id < b->id; });
-  return out;
+Rule* RuleManager::RuleOf(const RuleNetwork* network) const {
+  auto it = rule_of_network_.find(network);
+  return it == rule_of_network_.end() ? nullptr : it->second;
 }
 
 std::vector<std::string> RuleManager::RuleNames() const {

@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -13,6 +14,7 @@
 #include "network/discrimination_network.h"
 #include "network/rule_network.h"
 #include "rules/rule_compiler.h"
+#include "txn/undo_log.h"
 #include "util/status.h"
 
 namespace ariel {
@@ -93,9 +95,20 @@ class RuleManager {
   Rule* GetRule(const std::string& name);
   const Rule* GetRule(const std::string& name) const;
 
-  /// Active rules in creation order.
-  std::vector<Rule*> ActiveRules();
-  std::vector<const Rule*> ActiveRules() const;
+  /// Active rules in creation order (kept up to date by activation and
+  /// deactivation, so reading it costs nothing).
+  const std::vector<Rule*>& ActiveRules() const { return active_; }
+
+  /// The active rule whose current network is `network`, or null.
+  Rule* RuleOf(const RuleNetwork* network) const;
+
+  /// The discrimination network rules register with (its agenda drives
+  /// conflict resolution).
+  DiscriminationNetwork* network() const { return network_; }
+
+  /// Undo log the P-nodes of subsequently activated rules journal into
+  /// (null = no journaling).
+  void set_undo_log(UndoLog* undo) { undo_ = undo; }
 
   /// All rule names, sorted (introspection).
   std::vector<std::string> RuleNames() const;
@@ -127,6 +140,7 @@ class RuleManager {
   Catalog* catalog_;
   DiscriminationNetwork* network_;
   Optimizer* optimizer_;
+  UndoLog* undo_ = nullptr;
   AlphaMemoryPolicy policy_;
   JoinBackend join_backend_ = JoinBackend::kTreat;
   bool join_hash_indexes_ = true;
@@ -138,6 +152,8 @@ class RuleManager {
   /// P-node relation ids come from a reserved range far above catalog ids.
   uint32_t next_pnode_id_ = 1u << 30;
   std::map<std::string, std::unique_ptr<Rule>> rules_;
+  std::vector<Rule*> active_;  // ordered by id
+  std::unordered_map<const RuleNetwork*, Rule*> rule_of_network_;
 };
 
 }  // namespace ariel

@@ -35,8 +35,10 @@ Rule* RuleExecutionMonitor::SelectRule() {
     }
     return challenger->id < incumbent->id;
   };
-  for (Rule* rule : rules_->ActiveRules()) {
-    if (rule->network == nullptr || rule->network->pnode()->empty()) continue;
+  // The agenda holds every rule with a non-empty P-node, so a command that
+  // matched nothing resolves conflicts without visiting a single rule.
+  for (RuleNetwork* network : rules_->network()->PruneAgenda()) {
+    Rule* rule = rules_->RuleOf(network);
     if (best == nullptr || beats(rule, best)) {
       best = rule;
     }
@@ -63,8 +65,15 @@ Status RuleExecutionMonitor::FireRule(Rule* rule) {
   m.rules_fired.Increment();
   m.rule_firing_ns.Observe(ns);
   entry.wall_ms = static_cast<double>(ns) / 1e6;
-  entry.instantiations =
-      rule->firing_buffer != nullptr ? rule->firing_buffer->size() : 0;
+  if (rule->firing_buffer != nullptr) {
+    // Release the drained rows now instead of at the next firing; the
+    // relation itself stays, since cached action plans bind to it.
+    HeapRelation& buffer = *rule->firing_buffer;
+    entry.instantiations = buffer.size();
+    for (TupleId row_id : buffer.AllTupleIds()) {
+      ARIEL_IGNORE_STATUS(buffer.Delete(row_id));  // ariel-lint: allow(gateway-mutation) firing buffer
+    }
+  }
   m.firing_trace.Push(std::move(entry));
   return status;
 }
@@ -91,17 +100,15 @@ Status RuleExecutionMonitor::FireRuleInner(Rule* rule) {
   ++rule->times_fired;
   ++rules_fired_;
 
-  // Per-firing savepoint: opened after the drain, so its engine snapshot
-  // already shows this rule's instantiations consumed — rolling the firing
+  // Per-firing savepoint: opened after the drain, so a rollback to it
+  // restores this rule's instantiations as consumed — rolling the firing
   // back cannot make the same failing instantiations eligible again. Only
-  // the abort_rule policy ever rolls back to it, so only that policy pays
-  // for the snapshot.
+  // the abort_rule policy ever rolls back to it.
   uint64_t savepoint = 0;
   const bool have_savepoint =
       txn_ != nullptr && on_action_error_ == ActionErrorPolicy::kAbortRule;
   if (have_savepoint) {
-    ARIEL_ASSIGN_OR_RETURN(savepoint,
-                           txn_->OpenSavepoint(/*capture_engine_state=*/true));
+    ARIEL_ASSIGN_OR_RETURN(savepoint, txn_->OpenSavepoint());
   }
 
   // Flattened per-command index into the rule's stored-plan slots.

@@ -24,7 +24,8 @@ enum class ConflictStrategy : uint8_t {
 ///
 ///   match               — P-nodes are maintained incrementally by the
 ///                         discrimination network, so matching is just
-///                         "which active rules have non-empty P-nodes".
+///                         "which rules on its agenda have non-empty
+///                         P-nodes" (DiscriminationNetwork::PruneAgenda).
 ///   conflict resolution — highest priority first; ties per
 ///                         ConflictStrategy.
 ///   act                 — fire the rule: detach its P-node contents as the

@@ -44,20 +44,17 @@ bool TransactionContext::in_explicit() const {
   return !frames_.empty() && frames_.front().kind == FrameKind::kExplicit;
 }
 
-Status TransactionContext::PushFrame(FrameKind kind,
-                                     bool capture_engine_state) {
+void TransactionContext::PushFrame(FrameKind kind) {
   Frame frame;
   frame.kind = kind;
   frame.seq = next_seq_++;
   frame.undo_mark = undo_log_.size();
   frame.trace_mark = Metrics().firing_trace.total_recorded();
-  if (capture_engine_state) {
-    ARIEL_ASSIGN_OR_RETURN(frame.engine, hooks_->CaptureEngineState());
-  }
-  frames_.push_back(std::move(frame));
+  frame.pending_alert_mark = hooks_->PendingAlertMark();
+  frames_.push_back(frame);
   undo_log_.set_enabled(true);
+  undo_log_.set_frame_seq(frame.seq);
   Metrics().txn_active_savepoints.Set(frames_.size());
-  return Status::OK();
 }
 
 void TransactionContext::PopFrame() {
@@ -65,7 +62,10 @@ void TransactionContext::PopFrame() {
   Metrics().txn_active_savepoints.Set(frames_.size());
   if (frames_.empty()) {
     undo_log_.set_enabled(false);
+    undo_log_.set_frame_seq(0);
     undo_log_.Clear();
+  } else {
+    undo_log_.set_frame_seq(frames_.back().seq);
   }
 }
 
@@ -78,14 +78,19 @@ Status TransactionContext::RollbackTopFrame() {
   hooks_->BeginCompensation();
   Status status = Status::OK();
   for (size_t i = undo_log_.size(); i > frame.undo_mark; --i) {
-    status = hooks_->ApplyUndo(&undo_log_.record(i - 1));
+    UndoRecord& record = undo_log_.record(i - 1);
+    // A P-node whose rule was activated after this frame opened keeps its
+    // conflict set: there is no pre-frame state to return to.
+    if (record.kind == UndoKind::kPNodeState &&
+        record.attach_seq >= frame.seq) {
+      continue;
+    }
+    status = hooks_->ApplyUndo(&record);
     if (!status.ok()) break;
   }
   hooks_->EndCompensation();
   undo_log_.TruncateTo(frame.undo_mark);
-  if (status.ok() && frame.engine != nullptr) {
-    status = hooks_->RestoreEngineState(*frame.engine);
-  }
+  hooks_->TruncatePendingAlerts(frame.pending_alert_mark);
   Metrics().firing_trace.TruncateTo(frame.trace_mark);
   if (!status.ok()) {
     return Status::Internal(
@@ -104,7 +109,8 @@ Status TransactionContext::BeginCommand() {
                                             : "rule-firing savepoint") +
                             " is still open");
   }
-  return PushFrame(FrameKind::kCommand, /*capture_engine_state=*/true);
+  PushFrame(FrameKind::kCommand);
+  return Status::OK();
 }
 
 Status TransactionContext::CommitCommand() {
@@ -132,7 +138,8 @@ Status TransactionContext::BeginExplicit() {
   if (!frames_.empty()) {
     return Status::Internal("begin inside an open command frame");
   }
-  return PushFrame(FrameKind::kExplicit, /*capture_engine_state=*/true);
+  PushFrame(FrameKind::kExplicit);
+  return Status::OK();
 }
 
 Status TransactionContext::CommitExplicit() {
@@ -158,8 +165,8 @@ Status TransactionContext::AbortExplicit() {
   return status;
 }
 
-Result<uint64_t> TransactionContext::OpenSavepoint(bool capture_engine_state) {
-  ARIEL_RETURN_NOT_OK(PushFrame(FrameKind::kFiring, capture_engine_state));
+Result<uint64_t> TransactionContext::OpenSavepoint() {
+  PushFrame(FrameKind::kFiring);
   return frames_.back().seq;
 }
 

@@ -1,8 +1,8 @@
 #ifndef ARIEL_TXN_TXN_CONTEXT_H_
 #define ARIEL_TXN_TXN_CONTEXT_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -23,23 +23,11 @@ const char* ActionErrorPolicyToString(ActionErrorPolicy policy);
 [[nodiscard]] Result<ActionErrorPolicy> ActionErrorPolicyFromString(
     std::string_view text);
 
-/// Opaque engine state captured at savepoint time and restored verbatim on
-/// rollback. The engine (Database) subclasses this with whatever cannot be
-/// reconstructed from undo records alone — P-node conflict sets are
-/// history-dependent (drained instantiations never reappear), so they are
-/// snapshotted rather than re-derived.
-class EngineStateSnapshot {
- public:
-  virtual ~EngineStateSnapshot() = default;
-
- protected:
-  EngineStateSnapshot() = default;
-};
-
 /// The engine services a rollback needs; implemented by Database. The
 /// TransactionContext owns *when* to roll back, the hooks own *how* each
 /// record reverses — compensating tokens through the discrimination network
-/// so α-memories, join-index buckets, and TID maps heal alongside storage.
+/// so α-memories, join-index buckets, and TID maps heal alongside storage,
+/// and journaled P-node states put back the conflict sets a frame touched.
 class TransactionHooks {
  public:
   virtual ~TransactionHooks() = default;
@@ -51,12 +39,12 @@ class TransactionHooks {
   /// compensated.
   [[nodiscard]] virtual Status ApplyUndo(UndoRecord* record) = 0;
 
-  /// Captures the history-dependent engine state (conflict sets, pending
-  /// alerts) for exact restore.
-  [[nodiscard]] virtual Result<std::unique_ptr<EngineStateSnapshot>>
-  CaptureEngineState() = 0;
-  [[nodiscard]] virtual Status RestoreEngineState(
-      const EngineStateSnapshot& snapshot) = 0;
+  /// Length of the pending-alert queue, recorded when a frame opens.
+  /// Rollback truncates the queue back to it: undo tokens carry no event
+  /// specifier, so compensation cannot cancel queued alerts the way an
+  /// in-transition retraction does.
+  virtual size_t PendingAlertMark() const = 0;
+  virtual void TruncatePendingAlerts(size_t mark) = 0;
 
   /// Brackets the ApplyUndo replay: the network enters compensation mode
   /// (P-node mutations suppressed; α/β/index maintenance live).
@@ -79,7 +67,9 @@ class TransactionHooks {
 /// The undo log is armed exactly while a frame is open, so direct gateway
 /// use outside any command (unit tests, benches) logs nothing. Commit of
 /// the outermost frame clears the log; abort replays it back to the frame's
-/// mark through the hooks.
+/// mark through the hooks. Opening a frame costs O(1) whatever the number
+/// of rules: P-nodes journal themselves on their first write in a frame
+/// (kPNodeState).
 class TransactionContext {
  public:
   explicit TransactionContext(TransactionHooks* hooks);
@@ -104,9 +94,8 @@ class TransactionContext {
 
   // --- per-firing savepoints (RuleExecutionMonitor) ---
   /// Returns an opaque token identifying the savepoint. Savepoints nest
-  /// strictly (LIFO); `capture_engine_state` is requested only when the
-  /// policy may roll back to it (abort_rule).
-  [[nodiscard]] Result<uint64_t> OpenSavepoint(bool capture_engine_state);
+  /// strictly (LIFO).
+  [[nodiscard]] Result<uint64_t> OpenSavepoint();
   [[nodiscard]] Status RollbackToSavepoint(uint64_t token);
   [[nodiscard]] Status ReleaseSavepoint(uint64_t token);
 
@@ -125,12 +114,12 @@ class TransactionContext {
     uint64_t seq = 0;
     size_t undo_mark = 0;
     uint64_t trace_mark = 0;
-    std::unique_ptr<EngineStateSnapshot> engine;  // null unless captured
+    size_t pending_alert_mark = 0;
   };
 
-  [[nodiscard]] Status PushFrame(FrameKind kind, bool capture_engine_state);
-  /// Replays undo records down to the top frame's mark and restores its
-  /// engine snapshot. The frame stays on the stack.
+  void PushFrame(FrameKind kind);
+  /// Replays undo records down to the top frame's mark and truncates the
+  /// pending alerts to its mark. The frame stays on the stack.
   [[nodiscard]] Status RollbackTopFrame();
   void PopFrame();
 

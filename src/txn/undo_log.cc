@@ -15,6 +15,7 @@ const char* UndoKindToString(UndoKind kind) {
     case UndoKind::kDropRelation: return "drop-relation";
     case UndoKind::kCreateIndex: return "create-index";
     case UndoKind::kRuleFired: return "rule-fired";
+    case UndoKind::kPNodeState: return "pnode-state";
   }
   return "?";
 }
@@ -29,6 +30,7 @@ std::string UndoRecord::ToString() const {
       break;
     case UndoKind::kCreateRelation:
     case UndoKind::kRuleFired:
+    case UndoKind::kPNodeState:
       out += " " + name;
       break;
     case UndoKind::kDropRelation:
@@ -112,8 +114,27 @@ void UndoLog::AppendRuleFired(std::string rule_name, uint64_t prev_count) {
   Push(std::move(record));
 }
 
+void UndoLog::AppendPNodeState(std::string rule_name, uint64_t attach_seq,
+                               std::unique_ptr<UndoPayload> state) {
+  if (!enabled_) return;
+  UndoRecord record;
+  record.kind = UndoKind::kPNodeState;
+  record.name = std::move(rule_name);
+  record.attach_seq = attach_seq;
+  record.payload = std::move(state);
+  Push(std::move(record));
+}
+
 void UndoLog::TruncateTo(size_t mark) {
   if (mark < records_.size()) records_.resize(mark);
+}
+
+void UndoLog::Clear() {
+  if (records_.capacity() > kRetainedRecords) {
+    std::vector<UndoRecord>().swap(records_);
+  } else {
+    records_.clear();
+  }
 }
 
 }  // namespace ariel

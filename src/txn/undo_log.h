@@ -24,9 +24,18 @@ enum class UndoKind : uint8_t {
                     //                             HeapRelation (id preserved)
   kCreateIndex,     // forward: define index     → undo: drop the index
   kRuleFired,       // forward: ++times_fired    → undo: restore the count
+  kPNodeState,      // forward: first P-node write in a frame
+                    //                           → undo: restore the saved
+                    //                             conflict set
 };
 
 const char* UndoKindToString(UndoKind kind);
+
+/// Engine state a record restores verbatim, defined by the layer that owns
+/// it: kPNodeState records carry a PNode::State.
+struct UndoPayload {
+  virtual ~UndoPayload() = default;
+};
 
 /// One reversal step. Move-only: kDropRelation records own the detached
 /// HeapRelation until the log is cleared (commit) or replayed (abort).
@@ -39,6 +48,11 @@ struct UndoRecord {
   std::string name;                    // relation / index-attribute / rule
   std::unique_ptr<HeapRelation> detached;  // kDropRelation
   uint64_t prev_count = 0;             // kRuleFired: times_fired before
+  /// kPNodeState: the innermost frame open when the P-node's rule was
+  /// activated (0 = none). Rolling back that frame or an outer one skips
+  /// the record: the conflict set did not exist when the frame opened.
+  uint64_t attach_seq = 0;
+  std::unique_ptr<UndoPayload> payload;  // kPNodeState
 
   std::string ToString() const;
 };
@@ -57,6 +71,12 @@ class UndoLog {
   bool enabled() const { return enabled_; }
   void set_enabled(bool enabled) { enabled_ = enabled; }
 
+  /// Sequence number of the innermost open frame (0 = none). A P-node
+  /// journals itself once per frame: it compares the seq of its last save
+  /// with this one.
+  uint64_t frame_seq() const { return frame_seq_; }
+  void set_frame_seq(uint64_t seq) { frame_seq_ = seq; }
+
   void AppendInsert(uint32_t relation_id, TupleId tid);
   void AppendDelete(uint32_t relation_id, TupleId tid, Tuple before);
   void AppendUpdate(uint32_t relation_id, TupleId tid, Tuple before,
@@ -65,6 +85,8 @@ class UndoLog {
   void AppendDropRelation(std::unique_ptr<HeapRelation> relation);
   void AppendCreateIndex(uint32_t relation_id, std::string attribute);
   void AppendRuleFired(std::string rule_name, uint64_t prev_count);
+  void AppendPNodeState(std::string rule_name, uint64_t attach_seq,
+                        std::unique_ptr<UndoPayload> state);
 
   size_t size() const { return records_.size(); }
   bool empty() const { return records_.empty(); }
@@ -74,12 +96,18 @@ class UndoLog {
   /// Drops every record at index >= mark (they have been replayed, or the
   /// caller is discarding a record for a mutation that never applied).
   void TruncateTo(size_t mark);
-  void Clear() { records_.clear(); }
+
+  /// Drops every record (the outermost frame ended). A log that grew past
+  /// kRetainedRecords — a large cascade — also returns its storage, so one
+  /// big command does not pin that memory for the rest of the run.
+  void Clear();
+  static constexpr size_t kRetainedRecords = 1024;
 
  private:
   void Push(UndoRecord record);
 
   bool enabled_ = false;
+  uint64_t frame_seq_ = 0;
   std::vector<UndoRecord> records_;
 };
 

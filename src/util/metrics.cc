@@ -370,6 +370,7 @@ EngineMetrics::EngineMetrics()
           registry.RegisterCounter("columnar_classified_tokens")),
       rules_fired(registry.RegisterCounter("rules_fired")),
       cycles_run(registry.RegisterCounter("cycles_run")),
+      rules_select_visits(registry.RegisterCounter("rules_select_visits")),
       batch_flushes(registry.RegisterCounter("batch_flushes")),
       match_tasks(registry.RegisterCounter("match_tasks")),
       match_steal_count(registry.RegisterCounter("match_steal_count")),
@@ -403,6 +404,7 @@ EngineMetrics::EngineMetrics()
       snapshot_pins(registry.RegisterCounter("snapshot_pins")),
       snapshot_cow_copies(registry.RegisterCounter("snapshot_cow_copies")),
       txn_undo_records(registry.RegisterCounter("txn_undo_records")),
+      txn_pnode_saves(registry.RegisterCounter("txn_pnode_saves")),
       txn_rollbacks(registry.RegisterCounter("txn_rollbacks")),
       txn_rule_aborts(registry.RegisterCounter("txn_rule_aborts")),
       txn_ignored_action_errors(

@@ -361,6 +361,7 @@ struct EngineMetrics {
   // Recognize-act cycle.
   Counter rules_fired;
   Counter cycles_run;
+  Counter rules_select_visits;  // agenda entries conflict resolution examined
 
   // Batch propagation pipeline (TransitionManager token batching + the
   // parallel rule-matching stage; 0 everywhere when batch_tokens = 0).
@@ -396,6 +397,8 @@ struct EngineMetrics {
   Counter snapshot_cow_copies;      // mutations that cloned a pinned store
 
   Counter txn_undo_records;   // undo records appended to armed logs
+  Counter txn_pnode_saves;    // P-node conflict sets journaled (first write
+                              // in a frame)
   Counter txn_rollbacks;      // savepoint/command/explicit rollbacks replayed
   Counter txn_rule_aborts;    // rule firings undone by on_action_error=abort_rule
   Counter txn_ignored_action_errors;  // action errors dropped by =ignore
@@ -418,7 +421,8 @@ struct EngineMetrics {
   Histogram batch_match_ns;   // batch stage 2: per-rule join/α-memory work
   Histogram batch_merge_ns;   // retired merge stage: always empty, kept for
                               // readers of the histogram
-  Histogram txn_rollback_ns;  // undo replay + engine-state restore per rollback
+  Histogram txn_rollback_ns;  // undo replay (incl. P-node restores) per
+                              // rollback
   Histogram server_command_ns;  // per-request execute+render (p50/p99 in
                                 // `show stats` via the registry render)
   Histogram adaptive_replan_ns;  // full re-plan latency (compile → rebuild

@@ -204,6 +204,25 @@ TEST_F(NetworkAuditorTest, DetectsStalePnodeBinding) {
       << violations[0].ToString();
 }
 
+TEST_F(NetworkAuditorTest, DetectsPendingInstantiationOffTheAgenda) {
+  // A valid instantiation written behind the discrimination network's back
+  // is never scheduled, so conflict resolution would never fire it.
+  Rule* rule = db_->rules().GetRule("pair");
+  ASSERT_NE(rule, nullptr);
+  HeapRelation* t = db_->catalog().GetRelation("t");
+  HeapRelation* u = db_->catalog().GetRelation("u");
+  TupleId t_tid;
+  for (TupleId tid : t->AllTupleIds()) {
+    if (t->Get(tid)->at(0).int_value() == 20) t_tid = tid;
+  }
+  ASSERT_TRUE(t_tid.valid());
+  Row row(2);
+  row.Set(0, *t->Get(t_tid), t_tid);
+  row.Set(1, *u->Get(u->AllTupleIds()[0]), u->AllTupleIds()[0]);
+  ASSERT_OK(rule->network->pnode()->Insert(row, {}));
+  ExpectSingleViolation(AuditViolationKind::kAgendaMissing, "agenda");
+}
+
 TEST_F(NetworkAuditorTest, DeferredBatchTokensAtQuiescenceReported) {
   // Open a transition by hand and defer a token in the batch; the engine
   // never audits in this state (every flush point precedes quiescence), so

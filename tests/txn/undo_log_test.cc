@@ -77,20 +77,12 @@ class RecordingHooks : public TransactionHooks {
     calls.push_back(std::string(UndoKindToString(record->kind)));
     return Status::OK();
   }
-  Result<std::unique_ptr<EngineStateSnapshot>> CaptureEngineState() override {
-    ++captures;
-    class Snap : public EngineStateSnapshot {};
-    return std::unique_ptr<EngineStateSnapshot>(std::make_unique<Snap>());
-  }
-  Status RestoreEngineState(const EngineStateSnapshot&) override {
-    ++restores;
-    return Status::OK();
-  }
+  size_t PendingAlertMark() const override { return 0; }
+  void TruncatePendingAlerts(size_t) override { ++restores; }
   void BeginCompensation() override { calls.push_back("begin-comp"); }
   void EndCompensation() override { calls.push_back("end-comp"); }
 
   std::vector<std::string> calls;
-  int captures = 0;
   int restores = 0;
 };
 
@@ -120,7 +112,7 @@ TEST(TransactionContextTest, AbortReplaysInReverseInsideCompensation) {
       "begin-comp", "rule-fired", "delete", "insert", "end-comp"};
   EXPECT_EQ(hooks.calls, expected);
   EXPECT_EQ(txn.rollbacks(), 1u);
-  EXPECT_EQ(hooks.restores, 1);  // command frames capture engine state
+  EXPECT_EQ(hooks.restores, 1);  // rollback truncates the pending alerts
   EXPECT_TRUE(txn.undo_log().empty());
   EXPECT_FALSE(txn.undo_log().enabled());
 }
@@ -139,7 +131,7 @@ TEST(TransactionContextTest, SavepointRollbackKeepsOuterRecords) {
   ASSERT_OK(txn.BeginCommand());
   txn.undo_log().AppendInsert(1, TupleId{1, 0});
 
-  auto savepoint = txn.OpenSavepoint(/*capture_engine_state=*/true);
+  auto savepoint = txn.OpenSavepoint();
   ASSERT_OK(savepoint);
   txn.undo_log().AppendInsert(1, TupleId{1, 1});
   txn.undo_log().AppendInsert(1, TupleId{1, 2});
@@ -159,7 +151,7 @@ TEST(TransactionContextTest, ReleaseSavepointKeepsRecords) {
   RecordingHooks hooks;
   TransactionContext txn(&hooks);
   ASSERT_OK(txn.BeginCommand());
-  auto savepoint = txn.OpenSavepoint(/*capture_engine_state=*/false);
+  auto savepoint = txn.OpenSavepoint();
   ASSERT_OK(savepoint);
   txn.undo_log().AppendInsert(1, TupleId{1, 0});
   ASSERT_OK(txn.ReleaseSavepoint(*savepoint));
@@ -173,9 +165,9 @@ TEST(TransactionContextTest, SavepointTokensAreLifo) {
   RecordingHooks hooks;
   TransactionContext txn(&hooks);
   ASSERT_OK(txn.BeginCommand());
-  auto outer = txn.OpenSavepoint(false);
+  auto outer = txn.OpenSavepoint();
   ASSERT_OK(outer);
-  auto inner = txn.OpenSavepoint(false);
+  auto inner = txn.OpenSavepoint();
   ASSERT_OK(inner);
   EXPECT_NOT_OK(txn.RollbackToSavepoint(*outer));  // inner still open
   ASSERT_OK(txn.ReleaseSavepoint(*inner));
