@@ -68,15 +68,16 @@ Rules
   read-path-purity
                  Mutation entry points inside the body of an
                  `ExecuteReadOnly` definition. Those bodies are the engine's
-                 concurrent read path: the server's reader pool runs them on
-                 worker threads against a pinned snapshot, concurrently with
-                 other reads, with only the write barrier keeping mutators
-                 out. A call to ExecuteTransacted/ExecuteDml/ExecuteCommand/
-                 ExecuteAll, RunCycle, BeginTransition,
-                 RefreshSystemCatalogs, BumpVersion, DetachForWrite, a
-                 relation Insert/InsertAt/Delete/Update, or a Reset/Clear
-                 there mutates shared engine state off the serialized write
-                 path — a data race, not just a layering violation.
+                 const read path: every read-only command runs through them
+                 against a pinned snapshot, and they are documented as safe
+                 to call concurrently with each other. A call to
+                 ExecuteTransacted/ExecuteDml/ExecuteCommand/ExecuteAll,
+                 RunCycle, BeginTransition, RefreshSystemCatalogs,
+                 BumpVersion, DetachForWrite, a relation
+                 Insert/InsertAt/Delete/Update, or a Reset/Clear there
+                 mutates shared engine state off the serialized write path
+                 — a data race for concurrent readers, not just a layering
+                 violation.
   atomic-order   Atomic operations in the concurrency-critical util files
                  (src/util/metrics.*, src/util/thread_pool.*) must name an
                  explicit std::memory_order. Metric handles are updated from
@@ -421,7 +422,7 @@ def lint_file(path: Path) -> list[Finding]:
                    "adaptive bookkeeping stay consistent")
 
     # read-path-purity: no mutation entry point inside the body of an
-    # ExecuteReadOnly definition (the pool-executed concurrent read path).
+    # ExecuteReadOnly definition (the const read path).
     if rel_all[0] == "src" and path.suffix in (".cc", ".cpp"):
         for m in READ_ONLY_DEF_RE.finditer(code):
             paren = code.index("(", m.start())

@@ -41,8 +41,6 @@ Database::Database(DatabaseOptions options)
   network_.set_columnar_exec(options_.columnar_exec);
   options_.match_threads =
       EnvSizeOr("ARIEL_MATCH_THREADS", options_.match_threads);
-  options_.read_threads =
-      EnvSizeOr("ARIEL_READ_THREADS", options_.read_threads);
   if (options_.match_threads > 0) {
     match_pool_ = std::make_unique<ThreadPool>(options_.match_threads);
     network_.ConfigureBatching(match_pool_.get());
@@ -166,9 +164,7 @@ Result<std::vector<CommandResult>> Database::ExecuteAll(
 }
 
 Result<CommandResult> Database::ExecuteCommand(const Command& command) {
-  // Read-only commands take the same const snapshot path the server's
-  // reader pool uses, so serialized (ARIEL_READ_THREADS=0) and concurrent
-  // configurations are equivalent by construction.
+  // Read-only commands take the const snapshot path.
   if (IsReadOnlyCommand(command)) {
     return ExecuteReadOnly(command, AcquireReadSnapshot());
   }
@@ -362,10 +358,10 @@ ReadSnapshot Database::AcquireReadSnapshot() const {
 Result<CommandResult> Database::ExecuteReadOnly(
     const Command& command, const ReadSnapshot& snapshot) const {
   // The snapshot's pins keep every relation's tuple storage alive for the
-  // duration of the call; under the server's write barrier the live data a
-  // plan reads is additionally bit-identical to the pinned stores (writers
-  // wait for in-flight reads before mutating, and mutation of a pinned
-  // store detaches a fresh copy rather than touching it in place).
+  // duration of the call; since no mutating command overlaps a read, the
+  // live data a plan reads is additionally bit-identical to the pinned
+  // stores (and mutation of a pinned store detaches a fresh copy rather
+  // than touching it in place).
   (void)snapshot;
   switch (command.kind) {
     case CommandKind::kRetrieve:

@@ -99,15 +99,6 @@ struct DatabaseOptions {
   double adaptive_min_gain = 0.25;
   /// A rule must absorb this many tokens between consecutive re-plans.
   size_t adaptive_min_tokens = 64;
-  /// Reader threads for the network server's concurrent read path:
-  /// read-only commands (plain retrieve, show stats, explain rule, analyze
-  /// rules) from sessions outside an explicit transaction run on this many
-  /// pool workers against a pinned snapshot, concurrently with each other,
-  /// while mutating commands stay serialized on the engine thread behind a
-  /// write barrier. 0 (default) = fully serialized, the pre-existing
-  /// behaviour; results are byte-identical at every thread count.
-  /// Overridable with the ARIEL_READ_THREADS env var.
-  size_t read_threads = 0;
 };
 
 /// A pinned, consistent view of the engine taken at a quiescence point.
@@ -116,8 +107,8 @@ struct DatabaseOptions {
 /// freed memory even while the engine thread mutates: writers detach (clone)
 /// a pinned store instead of mutating it in place. Cheap to take — one
 /// shared_ptr copy per relation, no tuple copying. B+tree indexes are *not*
-/// pinned; index-backed plans rely on the server's write barrier (reads only
-/// run while no write is in progress) rather than on the snapshot.
+/// pinned; index-backed plans rely on reads never overlapping a mutating
+/// command rather than on the snapshot.
 struct ReadSnapshot {
   /// Catalog schema epoch at acquisition (plan-cache style staleness check).
   uint64_t catalog_version = 0;
@@ -171,10 +162,9 @@ class Database : private TransactionHooks {
   /// Const-clean execution of a read-only command (IsReadOnlyCommand must
   /// hold) against a pinned snapshot: plain retrieve, show stats (without
   /// reset), explain rule, analyze rules. Touches no engine state — any
-  /// number of callers may run concurrently with each other (but not with
-  /// mutating commands; the server's write barrier enforces that). The same
-  /// path serves ExecuteCommand on the engine thread, so serialized and
-  /// concurrent configurations produce byte-identical results.
+  /// number of callers may run concurrently with each other, but not with
+  /// a mutating command. ExecuteCommand routes every read-only command
+  /// through this path.
   [[nodiscard]] Result<CommandResult> ExecuteReadOnly(
       const Command& command, const ReadSnapshot& snapshot) const;
 

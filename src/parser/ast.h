@@ -440,9 +440,9 @@ struct AnalyzeRulesCommand : Command {
 // ---------------------------------------------------------------------------
 
 /// Static, AST-level classification of one parsed command — computed without
-/// touching the catalog, so the server can classify requests off the engine
-/// thread. The executor/database read path trusts this: a command whose
-/// traits say `read_only` must take only const engine entry points.
+/// touching the catalog. The executor/database read path trusts this: a
+/// command whose traits say `read_only` must take only const engine entry
+/// points.
 struct CommandTraits {
   /// Never mutates relations, the catalog, rule state, transaction state,
   /// or the metrics registry. `retrieve into` is NOT read-only (it creates
@@ -459,8 +459,8 @@ struct CommandTraits {
 /// a transition on the engine thread by definition.
 CommandTraits TraitsOf(const Command& command);
 
-/// True when the command may run on the concurrent read path: read-only
-/// AND no sys-catalog refresh needed.
+/// True when the command may run on the const snapshot read path:
+/// read-only AND no sys-catalog refresh needed.
 bool IsReadOnlyCommand(const Command& command);
 
 // ---------------------------------------------------------------------------

@@ -33,6 +33,15 @@ size_t EnvSize(const char* name, size_t fallback) {
   return static_cast<size_t>(parsed);
 }
 
+/// One non-blocking send attempt; a socket error marks the connection
+/// broken (the peer is gone) so CloseEligible tears it down.
+void FlushOrBreak(Connection& conn) {
+  if (conn.broken || conn.output.empty()) return;
+  if (Result<bool> drained = conn.FlushOutput(); !drained.ok()) {
+    conn.broken = true;
+  }
+}
+
 }  // namespace
 
 ServerOptions ServerOptions::FromEnv() {
@@ -55,9 +64,6 @@ ArielServer::ArielServer(Database* db, ServerOptions options)
     : db_(db), options_(std::move(options)) {}
 
 ArielServer::~ArielServer() {
-  // Join the reader pool before anything it can touch goes away: a running
-  // task writes the wake pipe, and queued tasks hold request text.
-  read_pool_.reset();
   connections_.clear();
   if (listen_fd_ >= 0) ::close(listen_fd_);
   if (wake_read_fd_ >= 0) ::close(wake_read_fd_);
@@ -111,12 +117,6 @@ Status ArielServer::Start() {
   ARIEL_RETURN_NOT_OK(loop_->Add(listen_fd_, /*read=*/true, /*write=*/false));
   ARIEL_RETURN_NOT_OK(
       loop_->Add(wake_read_fd_, /*read=*/true, /*write=*/false));
-
-  // The engine's read_threads knob (ARIEL_READ_THREADS) turns on the
-  // concurrent read path; 0 keeps the fully serialized loop.
-  if (db_->options().read_threads > 0) {
-    read_pool_ = std::make_unique<ThreadPool>(db_->options().read_threads);
-  }
   return Status::OK();
 }
 
@@ -195,15 +195,7 @@ Status ArielServer::Run() {
     }
   }
   // Teardown (forced after the grace period, or the drain completed):
-  // finish every dispatched read first — their replies get a best-effort
-  // flush, and no worker may still be running when the engine is handed
-  // back to the caller. Session destructors then abort any transaction
-  // still open.
-  if (read_pool_ != nullptr) {
-    read_pool_->WaitIdle();
-    HarvestReadCompletions();
-    FlushAndUpdateInterest();
-  }
+  // session destructors abort any transaction still open.
   while (!connections_.empty()) CloseConnection(connections_.size() - 1);
   return Status::OK();
 }
@@ -241,9 +233,8 @@ void ArielServer::AcceptNew() {
     }
     int one = 1;
     (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    const uint64_t id = next_conn_id_++;
     auto conn = std::make_unique<Connection>(
-        fd, id, std::make_unique<Session>(db_, id));
+        fd, std::make_unique<Session>(db_, next_conn_id_++));
     if (Status added = loop_->Add(fd, /*read=*/true, /*write=*/false);
         !added.ok()) {
       continue;  // conn destructor closes the socket
@@ -273,12 +264,7 @@ void ArielServer::ReadAndDecode(Connection& conn) {
       conn.pending_error = "error: protocol: " + error + "\n";
       break;
     }
-    // Classify once, at decode time, so the per-poll dispatch decision in
-    // Pump never re-parses. Classification only matters when the reader
-    // pool exists; skip the parse otherwise.
-    const bool read_only =
-        read_pool_ != nullptr && Session::ClassifyRequest(text);
-    conn.requests.push_back(Connection::Request{std::move(text), read_only});
+    conn.requests.push_back(std::move(text));
   }
 }
 
@@ -290,26 +276,11 @@ Session* ArielServer::TransactionOwner() {
 }
 
 bool ArielServer::Pump() {
-  HarvestReadCompletions();
   bool any = false;
   bool progress = true;
   while (progress) {
     progress = false;
     Session* owner = TransactionOwner();
-    // Re-derive the barrier flag: the write that raised it may belong to a
-    // connection that has since closed, and a stale flag would pin every
-    // read onto the engine thread forever.
-    if (write_waiting_) {
-      bool write_pending = false;
-      for (auto& conn : connections_) {
-        if (conn->broken || conn->requests.empty()) continue;
-        if (!conn->requests.front().read_only) {
-          write_pending = true;
-          break;
-        }
-      }
-      if (!write_pending) write_waiting_ = false;
-    }
     for (auto& conn : connections_) {
       if (conn->broken) continue;
       if (conn->output.size() >= options_.max_output_buffer_bytes) {
@@ -321,7 +292,7 @@ bool ArielServer::Pump() {
       }
       conn->stalled = false;
       if (conn->requests.empty()) {
-        if (!conn->pending_error.empty() && conn->reply_slots.empty()) {
+        if (!conn->pending_error.empty()) {
           // All earlier replies are flushed or queued in order; emit the
           // framing error and stop reading this connection for good.
           conn->output += EncodeResponse(kRespError, conn->pending_error);
@@ -334,45 +305,16 @@ bool ArielServer::Pump() {
       // While a session holds the explicit transaction, only it may reach
       // the engine; everyone else's pipeline stays queued (executing them
       // would silently enroll their commands in the owner's transaction).
-      // That gate covers dispatched reads too: the executor reads live
-      // engine state, so a concurrent read during someone's open
-      // transaction could observe its uncommitted writes.
       if (owner != nullptr && owner != &conn->session()) continue;
-      Connection::Request& front = conn->requests.front();
-      if (read_pool_ != nullptr && front.read_only && owner == nullptr &&
-          !draining_ && !write_waiting_) {
-        std::string text = std::move(front.text);
-        conn->requests.pop_front();
-        DispatchRead(*conn, std::move(text));
-        conn->Touch();
-        progress = true;
-        continue;
-      }
-      // Engine-thread execution. A mutating command must first wait for
-      // every dispatched read to finish (the write barrier); a read-only
-      // request executing here is just another reader and proceeds.
-      if (!front.read_only) {
-        if (ReadsInFlight() > 0) {
-          if (!write_waiting_) {
-            write_waiting_ = true;
-            Metrics().server_read_barrier_waits.Increment();
-          }
-          continue;
-        }
-        write_waiting_ = false;
-      }
-      const bool was_read_only = front.read_only;
-      std::string request = std::move(front.text);
+      std::string request = std::move(conn->requests.front());
       conn->requests.pop_front();
-      if (read_pool_ != nullptr && was_read_only) {
-        Metrics().server_read_serialized.Increment();
-      }
       Session::Reply reply = conn->session().HandleRequest(request);
-      conn->reply_slots.push_back(Connection::ReplySlot{
-          conn->next_reply_seq++, true,
-          EncodeResponse(reply.kind, reply.payload)});
-      EmitReadyReplies(*conn);
+      conn->output += EncodeResponse(reply.kind, reply.payload);
       conn->Touch();
+      // Send now unless more of this connection's pipeline follows: a reply
+      // (an `abort` that frees the gate, say) must not wait behind the other
+      // sessions' requests this pass is about to run.
+      if (conn->requests.empty()) FlushOrBreak(*conn);
       owner = TransactionOwner();
       progress = true;
     }
@@ -381,91 +323,10 @@ bool ArielServer::Pump() {
   return any;
 }
 
-void ArielServer::DispatchRead(Connection& conn, std::string text) {
-  const uint64_t seq = conn.next_reply_seq++;
-  conn.reply_slots.push_back(Connection::ReplySlot{seq, false, {}});
-  {
-    std::lock_guard<std::mutex> lock(read_mu_);
-    ++reads_in_flight_;
-  }
-  Metrics().server_read_dispatches.Increment();
-  Metrics().server_reads_in_flight.Add(1);
-  // The task must outlive the connection: capture the database pointer,
-  // the connection id, and the request text — nothing that teardown frees.
-  const Database* db = db_;
-  const uint64_t conn_id = conn.id();
-  const int wake_fd = wake_write_fd_;
-  read_pool_->Submit([this, db, conn_id, seq, wake_fd,
-                      request = std::move(text)] {
-    Session::Reply reply = Session::ExecuteDetached(db, request);
-    {
-      std::lock_guard<std::mutex> lock(read_mu_);
-      read_completions_.push_back(
-          ReadCompletion{conn_id, seq, reply.kind, std::move(reply.payload)});
-      --reads_in_flight_;
-    }
-    // Pop the event loop out of Wait so the completion is harvested
-    // promptly; if the pipe is full the loop is already awake.
-    [[maybe_unused]] ssize_t n = ::write(wake_fd, "r", 1);
-  });
-}
-
-void ArielServer::HarvestReadCompletions() {
-  if (read_pool_ == nullptr) return;
-  std::vector<ReadCompletion> done;
-  {
-    std::lock_guard<std::mutex> lock(read_mu_);
-    done.swap(read_completions_);
-  }
-  for (ReadCompletion& completion : done) {
-    Metrics().server_reads_in_flight.Add(-1);
-    Connection* conn = FindConnection(completion.conn_id);
-    if (conn == nullptr) {
-      // The client vanished while its read ran. The read never touched the
-      // connection, so nothing dangles; the reply just has nowhere to go.
-      Metrics().server_read_orphaned.Increment();
-      continue;
-    }
-    for (Connection::ReplySlot& slot : conn->reply_slots) {
-      if (slot.seq != completion.slot_seq) continue;
-      slot.ready = true;
-      slot.encoded = EncodeResponse(completion.kind, completion.payload);
-      break;
-    }
-    conn->Touch();
-    EmitReadyReplies(*conn);
-  }
-}
-
-void ArielServer::EmitReadyReplies(Connection& conn) {
-  while (!conn.reply_slots.empty() && conn.reply_slots.front().ready) {
-    conn.output += conn.reply_slots.front().encoded;
-    conn.reply_slots.pop_front();
-  }
-}
-
-size_t ArielServer::ReadsInFlight() {
-  if (read_pool_ == nullptr) return 0;
-  std::lock_guard<std::mutex> lock(read_mu_);
-  return reads_in_flight_;
-}
-
-Connection* ArielServer::FindConnection(uint64_t id) {
-  for (auto& conn : connections_) {
-    if (conn->id() == id) return conn.get();
-  }
-  return nullptr;
-}
-
 void ArielServer::FlushAndUpdateInterest() {
   for (auto& conn : connections_) {
+    FlushOrBreak(*conn);
     if (conn->broken) continue;
-    if (!conn->output.empty()) {
-      if (Result<bool> drained = conn->FlushOutput(); !drained.ok()) {
-        conn->broken = true;
-        continue;
-      }
-    }
     const bool want_read =
         !conn->read_closed && !conn->stalled &&
         conn->requests.size() < options_.max_pipelined_requests &&
@@ -491,8 +352,7 @@ bool ArielServer::CloseEligible() {
       continue;
     }
     if (conn.read_closed && conn.requests.empty() &&
-        conn.reply_slots.empty() && conn.pending_error.empty() &&
-        conn.output.empty()) {
+        conn.pending_error.empty() && conn.output.empty()) {
       CloseConnection(i);
       closed_any = true;
       continue;

@@ -12,8 +12,7 @@ namespace ariel::server {
 namespace {
 
 /// Renders an execution outcome as the wire reply and counts the executed
-/// commands — shared by the serialized path (HandleRequest) and the
-/// detached read path (ExecuteDetached) so the two are byte-identical.
+/// commands.
 Session::Reply RenderReply(
     const Result<std::vector<CommandResult>>& results) {
   if (!results.ok()) {
@@ -57,29 +56,6 @@ bool Session::ClassifyRequest(const std::string& text) {
     if (!IsReadOnlyCommand(*command)) return false;
   }
   return true;
-}
-
-Session::Reply Session::ExecuteDetached(const Database* db,
-                                        const std::string& text) {
-  Result<std::vector<CommandResult>> results =
-      [&]() -> Result<std::vector<CommandResult>> {
-    ScopedTimer timer(Metrics().server_command_ns);
-    ARIEL_ASSIGN_OR_RETURN(std::vector<CommandPtr> commands,
-                           ParseScript(text));
-    // One snapshot for the whole request: every command in it reads the
-    // same pinned state (the request was classified read-only, so nothing
-    // in it can invalidate the snapshot either).
-    const ReadSnapshot snapshot = db->AcquireReadSnapshot();
-    std::vector<CommandResult> out;
-    out.reserve(commands.size());
-    for (const CommandPtr& command : commands) {
-      ARIEL_ASSIGN_OR_RETURN(CommandResult result,
-                             db->ExecuteReadOnly(*command, snapshot));
-      out.push_back(std::move(result));
-    }
-    return out;
-  }();
-  return RenderReply(results);
 }
 
 void Session::OnDisconnect() {

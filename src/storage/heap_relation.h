@@ -115,8 +115,8 @@ class HeapRelation {
   /// Pins the current tuple store for a read snapshot: the returned
   /// shared_ptr keeps this exact slot image alive; the next mutation
   /// copy-on-writes a private store instead of editing the pinned one.
-  /// Acquire only at quiescence (the server's write barrier guarantees no
-  /// mutation is concurrent with the pin itself).
+  /// Acquire only at quiescence (no mutation may be concurrent with the
+  /// pin itself).
   std::shared_ptr<const TupleStore> PinStore() const;
 
   /// Column-major view of the live tuples, built lazily and cached until

@@ -392,15 +392,6 @@ EngineMetrics::EngineMetrics()
           registry.RegisterCounter("server_txn_aborts_on_disconnect")),
       server_active_connections(
           registry.RegisterGauge("server_active_connections")),
-      server_read_dispatches(
-          registry.RegisterCounter("server_read_dispatches")),
-      server_read_serialized(
-          registry.RegisterCounter("server_read_serialized")),
-      server_read_barrier_waits(
-          registry.RegisterCounter("server_read_barrier_waits")),
-      server_read_orphaned(registry.RegisterCounter("server_read_orphaned")),
-      server_reads_in_flight(
-          registry.RegisterGauge("server_reads_in_flight")),
       snapshot_pins(registry.RegisterCounter("snapshot_pins")),
       snapshot_cow_copies(registry.RegisterCounter("snapshot_cow_copies")),
       txn_undo_records(registry.RegisterCounter("txn_undo_records")),

@@ -385,14 +385,7 @@ struct EngineMetrics {
   Counter server_txn_aborts_on_disconnect;  // dropped mid-transaction peers
   Gauge server_active_connections;
 
-  // Concurrent read path (reader pool + snapshots). All zero when
-  // DatabaseOptions.read_threads == 0 (fully serialized execution).
-  Counter server_read_dispatches;   // read-only requests run on the pool
-  Counter server_read_serialized;   // read-only requests kept on the engine
-                                    // thread (txn open, pool off, barrier)
-  Counter server_read_barrier_waits;  // writes that had to wait for reads
-  Counter server_read_orphaned;     // read completions whose client vanished
-  Gauge server_reads_in_flight;
+  // Read snapshots (the const read path every read-only command takes).
   Counter snapshot_pins;            // TupleStore pins taken by snapshots
   Counter snapshot_cow_copies;      // mutations that cloned a pinned store
 

@@ -58,34 +58,6 @@ void ThreadPool::RunAll(std::vector<Task> tasks) {
   done_cv_.wait(lock, [this] { return outstanding_ == 0; });
 }
 
-void ThreadPool::Submit(Task task) {
-  // Same publication order as RunAll: count first, then the task, then the
-  // generation bump that wakes a parked worker (see RunAll's comments).
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++outstanding_;
-  }
-  const size_t target =
-      next_submit_.fetch_add(1, std::memory_order_relaxed) % workers_.size();
-  {
-    Deque& dq = *deques_[target];
-    std::lock_guard<std::mutex> lock(dq.mu);
-    dq.tasks.push_back(std::move(task));
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++batch_generation_;
-  }
-  // One new task: one woken worker suffices; an already-awake worker can
-  // also steal it before the wakeup lands.
-  wake_cv_.notify_one();
-}
-
-void ThreadPool::WaitIdle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [this] { return outstanding_ == 0; });
-}
-
 bool ThreadPool::PopOwn(size_t home, Task* task) {
   Deque& dq = *deques_[home];
   std::lock_guard<std::mutex> lock(dq.mu);

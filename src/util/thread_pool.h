@@ -46,17 +46,6 @@ class ThreadPool {
   /// Not reentrant and not thread-safe: one batch at a time.
   void RunAll(std::vector<Task> tasks);
 
-  /// Enqueues one task for asynchronous execution on a worker thread and
-  /// returns immediately — the caller does not participate (the server's
-  /// read-dispatch mode, vs. RunAll's blocking batch mode). Thread-safe
-  /// against concurrent Submit/WaitIdle calls, but a pool must not mix
-  /// Submit with RunAll. Completion is signalled by the task itself (e.g.
-  /// through a completion queue); WaitIdle offers a global drain.
-  void Submit(Task task);
-
-  /// Blocks until every queued task has finished (teardown drain).
-  void WaitIdle();
-
   /// Lifetime count of cross-deque steals (work-stealing observability;
   /// ProcessBatch publishes the per-batch delta as `match_steal_count`).
   uint64_t steals() const { return steals_.load(std::memory_order_relaxed); }
@@ -86,8 +75,6 @@ class ThreadPool {
   bool shutdown_ = false;
 
   std::atomic<uint64_t> steals_{0};
-  /// Round-robin cursor distributing Submit tasks across worker deques.
-  std::atomic<uint64_t> next_submit_{0};
 };
 
 }  // namespace ariel

@@ -1,7 +1,7 @@
 // AST-level read-only classification (ISSUE 10): TraitsOf/IsReadOnlyCommand
 // decide — from the parse tree alone, no catalog access — whether a command
-// may run on the engine's concurrent read path. The table below is the
-// contract the server's dispatch and the database's routing both trust.
+// may run on the engine's const snapshot read path. The table below is the
+// contract the database's routing trusts.
 
 #include "parser/ast.h"
 

@@ -1,21 +1,20 @@
-// Concurrent snapshot reads (ISSUE 10): loopback tests of the server's
-// reader pool, parameterized over event-loop backends.
+// Concurrent clients against the serialized server: loopback tests of
+// read-heavy traffic, parameterized over event-loop backends.
 //
-// The acceptance claims covered here:
-//   - results and final engine state are byte-identical at every reader
-//     thread count (0 = fully serialized, 1, 4) for the same workload;
-//   - per-session response order survives out-of-order read completion
-//     (seq-numbered reply slots);
-//   - a client that disconnects while its read is dispatched harms nothing
-//     (the completion is orphaned, the server keeps serving);
-//   - dispatched reads never observe another session's uncommitted
-//     transaction state (owner gating covers the read path).
+// The claims covered here:
+//   - many clients reading at once get replies, and leave final engine
+//     state, byte-identical to executing the same commands in process;
+//   - a pipelined mix of writes and reads answers in request order, each
+//     read seeing exactly the writes issued before it;
+//   - a client that disconnects with a burst of reads still queued harms
+//     nothing, and the server keeps serving;
+//   - reads never observe another session's uncommitted transaction state
+//     (the transaction owner gates every other session).
 
 #include "server/server.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -25,7 +24,6 @@
 #include "server/client.h"
 #include "server/protocol.h"
 #include "test_util.h"
-#include "util/metrics.h"
 
 namespace ariel::server {
 namespace {
@@ -33,15 +31,10 @@ namespace {
 class ServerConcurrentReadTest
     : public ::testing::TestWithParam<const char*> {
  protected:
-  /// Starts a server whose Database has exactly `read_threads` reader
-  /// threads, overriding any ARIEL_READ_THREADS in the environment (CI runs
-  /// this suite under both 0 and 4; these tests pin the width themselves).
-  void StartServer(size_t read_threads, ServerOptions options = {}) {
-    ::setenv("ARIEL_READ_THREADS", std::to_string(read_threads).c_str(), 1);
+  void StartServer(ServerOptions options = {}) {
     options.port = 0;
     options.event_backend = GetParam();
     db_ = std::make_unique<Database>();
-    ::unsetenv("ARIEL_READ_THREADS");
     server_ = std::make_unique<ArielServer>(db_.get(), options);
     ASSERT_OK(server_->Start());
     thread_ = std::thread([this] { run_status_ = server_->Run(); });
@@ -73,74 +66,68 @@ class ServerConcurrentReadTest
   Status run_status_;
 };
 
-// The same workload — a write phase, then 8 clients reading concurrently —
-// produces byte-identical read replies and byte-identical final engine
-// state at read_threads 0, 1, and 4.
+// A write phase, then 8 clients reading concurrently: every read reply,
+// and the final engine state, is byte-identical to running the same
+// commands in process on a Database of its own.
 TEST_P(ServerConcurrentReadTest, EquivalentAcrossThreadCounts) {
   constexpr int kClients = 8;
   constexpr int kReadsPerClient = 15;
-  std::vector<std::string> dumps;
-  std::vector<std::vector<std::string>> replies;
-
-  for (size_t read_threads : {size_t{0}, size_t{1}, size_t{4}}) {
-    StartServer(read_threads);
-    {
-      auto setup = Connect();
-      ASSERT_OK(setup.status());
-      EXPECT_EQ(Ask(*setup, "create emp (name = string, sal = float)"),
-                "ok\n");
-      for (int i = 0; i < 50; ++i) {
-        Ask(*setup, "append emp (name=\"e" + std::to_string(i) +
-                        "\", sal=" + std::to_string(i) + ".0)");
-      }
-    }
-    // Read phase: quiescent state, so every reply is deterministic and the
-    // pool (when present) runs these genuinely concurrently.
-    std::vector<std::vector<std::string>> per_client(kClients);
-    std::vector<std::thread> workers;
-    for (int c = 0; c < kClients; ++c) {
-      workers.emplace_back([this, c, &per_client] {
-        auto client = Connect();
-        ASSERT_OK(client.status());
-        for (int i = 0; i < kReadsPerClient; ++i) {
-          per_client[static_cast<size_t>(c)].push_back(
-              Ask(*client, "retrieve (emp.name, emp.sal) where emp.sal = " +
-                               std::to_string((i * 7 + c) % 50) + ".0"));
-        }
-      });
-    }
-    for (std::thread& worker : workers) worker.join();
-    StopServer();
-
-    std::vector<std::string> flat;
-    for (auto& mine : per_client) {
-      flat.insert(flat.end(), mine.begin(), mine.end());
-    }
-    replies.push_back(std::move(flat));
-    dumps.push_back(db_->DebugDumpState());
-
-    if (read_threads == 4) {
-      // The pool really ran: at least one read was dispatched off the
-      // engine thread (the counters are engine-global, so only check under
-      // the widest configuration, right after its run).
-      EXPECT_GT(Metrics().server_read_dispatches.value(), 0u);
-    }
+  auto read_text = [](int c, int i) {
+    return "retrieve (emp.name, emp.sal) where emp.sal = " +
+           std::to_string((i * 7 + c) % 50) + ".0";
+  };
+  std::vector<std::string> writes = {
+      "create emp (name = string, sal = float)"};
+  for (int i = 0; i < 50; ++i) {
+    writes.push_back("append emp (name=\"e" + std::to_string(i) +
+                     "\", sal=" + std::to_string(i) + ".0)");
   }
 
-  ASSERT_EQ(dumps.size(), 3u);
-  EXPECT_EQ(dumps[0], dumps[1]);
-  EXPECT_EQ(dumps[0], dumps[2]);
-  EXPECT_EQ(replies[0], replies[1]);
-  EXPECT_EQ(replies[0], replies[2]);
+  StartServer();
+  {
+    auto setup = Connect();
+    ASSERT_OK(setup.status());
+    for (const std::string& write : writes) Ask(*setup, write);
+  }
+  std::vector<std::vector<std::string>> per_client(kClients);
+  std::vector<std::thread> workers;
+  for (int c = 0; c < kClients; ++c) {
+    workers.emplace_back([this, c, &per_client, &read_text] {
+      auto client = Connect();
+      ASSERT_OK(client.status());
+      for (int i = 0; i < kReadsPerClient; ++i) {
+        per_client[static_cast<size_t>(c)].push_back(
+            Ask(*client, read_text(c, i)));
+      }
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  StopServer();
+
+  Database local;
+  for (const std::string& write : writes) {
+    ASSERT_OK(local.Execute(write).status());
+  }
+  for (int c = 0; c < kClients; ++c) {
+    ASSERT_EQ(per_client[static_cast<size_t>(c)].size(),
+              static_cast<size_t>(kReadsPerClient));
+    for (int i = 0; i < kReadsPerClient; ++i) {
+      auto result = local.Execute(read_text(c, i));
+      ASSERT_OK(result.status());
+      EXPECT_EQ(per_client[static_cast<size_t>(c)][static_cast<size_t>(i)],
+                RenderCommandResult(*result))
+          << "client " << c << " read " << i;
+    }
+  }
+  EXPECT_EQ(db_->DebugDumpState(), local.DebugDumpState());
 }
 
 // One connection pipelines interleaved writes and reads in a single burst:
 // replies must come back in request order with the exact payload each
-// request would get serially — reads completing on pool threads cannot
-// leapfrog the writes bracketing them (reply slots + write barrier).
+// request would get serially — no read leapfrogs the writes bracketing it.
 TEST_P(ServerConcurrentReadTest, MixedPipelineKeepsPerSessionOrder) {
   constexpr int kRounds = 25;
-  StartServer(/*read_threads=*/4);
+  StartServer();
   auto client = Connect();
   ASSERT_OK(client.status());
   EXPECT_EQ(Ask(*client, "create t (n = int)"), "ok\n");
@@ -180,10 +167,10 @@ TEST_P(ServerConcurrentReadTest, MixedPipelineKeepsPerSessionOrder) {
 }
 
 // A client that fires a burst of reads and disconnects without reading a
-// byte back: its dispatched reads complete as orphans, the server neither
-// crashes nor leaks the replies to anyone, and other clients keep working.
+// byte back: the server neither crashes nor leaks the replies to anyone,
+// and other clients keep working.
 TEST_P(ServerConcurrentReadTest, DisconnectMidDispatchedReadIsHarmless) {
-  StartServer(/*read_threads=*/4);
+  StartServer();
   {
     auto setup = Connect();
     ASSERT_OK(setup.status());
@@ -215,11 +202,11 @@ TEST_P(ServerConcurrentReadTest, DisconnectMidDispatchedReadIsHarmless) {
   StopServer();
 }
 
-// Owner gating covers dispatched reads: while session A holds an explicit
+// Owner gating covers reads: while session A holds an explicit
 // transaction with an uncommitted append, session B's retrieve is deferred
 // — it answers only after A aborts, and never sees the uncommitted row.
 TEST_P(ServerConcurrentReadTest, TransactionOwnerGatesDispatchedReads) {
-  StartServer(/*read_threads=*/4);
+  StartServer();
   auto a = Connect();
   auto b = Connect();
   ASSERT_OK(a.status());
@@ -242,13 +229,12 @@ TEST_P(ServerConcurrentReadTest, TransactionOwnerGatesDispatchedReads) {
   StopServer();
 }
 
-// Eight clients hammering a 90/10 read/write mix against the pool leave
-// exactly the same relation contents a serial execution would: the write
-// barrier keeps mutations serialized and reads never corrupt state.
+// Eight clients hammering a 90/10 read/write mix leave exactly the same
+// relation contents a serial execution would.
 TEST_P(ServerConcurrentReadTest, MixedWorkloadConvergesToSerialState) {
   constexpr int kClients = 8;
   constexpr int kCommandsPerClient = 20;
-  StartServer(/*read_threads=*/4);
+  StartServer();
   {
     auto setup = Connect();
     ASSERT_OK(setup.status());
