@@ -20,10 +20,14 @@
 namespace ariel {
 namespace {
 
+// The seed leads the struct: gtest prints an unprintable parameter as its raw
+// bytes, and the discovered test name should begin with a fixed value rather
+// than the address of `name`, which moves with the build type and the
+// checkout path.
 struct EquivalenceParams {
+  uint64_t seed;
   const char* name;
   AlphaMemoryPolicy::Mode mode;
-  uint64_t seed;
   int operations;
   /// Create B+tree indexes on the join attributes, so virtual α-memory
   /// joins take the §4.2 index-probe path instead of sequential scans.
@@ -201,29 +205,30 @@ TEST_P(NetworkEquivalenceTest, IncrementalMatchesRecompute) {
 INSTANTIATE_TEST_SUITE_P(
     Policies, NetworkEquivalenceTest,
     ::testing::Values(
-        EquivalenceParams{"stored", AlphaMemoryPolicy::Mode::kAllStored, 101,
+        EquivalenceParams{0x13, "stored", AlphaMemoryPolicy::Mode::kAllStored,
                           200},
-        EquivalenceParams{"virtual", AlphaMemoryPolicy::Mode::kAllVirtual,
-                          102, 200},
-        EquivalenceParams{"adaptive", AlphaMemoryPolicy::Mode::kAdaptive, 103,
+        EquivalenceParams{0x16, "virtual",
+                          AlphaMemoryPolicy::Mode::kAllVirtual, 200},
+        EquivalenceParams{103, "adaptive", AlphaMemoryPolicy::Mode::kAdaptive,
                           200},
-        EquivalenceParams{"stored2", AlphaMemoryPolicy::Mode::kAllStored, 104,
+        EquivalenceParams{0xE8, "stored2", AlphaMemoryPolicy::Mode::kAllStored,
                           350},
-        EquivalenceParams{"virtual2", AlphaMemoryPolicy::Mode::kAllVirtual,
-                          105, 350},
-        EquivalenceParams{"virtual_indexed",
-                          AlphaMemoryPolicy::Mode::kAllVirtual, 106, 350,
+        EquivalenceParams{105, "virtual2",
+                          AlphaMemoryPolicy::Mode::kAllVirtual, 350},
+        EquivalenceParams{106, "virtual_indexed",
+                          AlphaMemoryPolicy::Mode::kAllVirtual, 350,
                           /*with_indexes=*/true},
-        EquivalenceParams{"adaptive_indexed",
-                          AlphaMemoryPolicy::Mode::kAdaptive, 107, 350,
+        EquivalenceParams{107, "adaptive_indexed",
+                          AlphaMemoryPolicy::Mode::kAdaptive, 350,
                           /*with_indexes=*/true},
-        EquivalenceParams{"rete_stored", AlphaMemoryPolicy::Mode::kAllStored,
-                          108, 350, false, JoinBackend::kRete},
-        EquivalenceParams{"rete_virtual",
-                          AlphaMemoryPolicy::Mode::kAllVirtual, 109, 350,
-                          false, JoinBackend::kRete},
-        EquivalenceParams{"rete_virtual_indexed",
-                          AlphaMemoryPolicy::Mode::kAllVirtual, 110, 350,
+        EquivalenceParams{108, "rete_stored",
+                          AlphaMemoryPolicy::Mode::kAllStored, 350, false,
+                          JoinBackend::kRete},
+        EquivalenceParams{109, "rete_virtual",
+                          AlphaMemoryPolicy::Mode::kAllVirtual, 350, false,
+                          JoinBackend::kRete},
+        EquivalenceParams{110, "rete_virtual_indexed",
+                          AlphaMemoryPolicy::Mode::kAllVirtual, 350,
                           /*with_indexes=*/true, JoinBackend::kRete}),
     [](const ::testing::TestParamInfo<EquivalenceParams>& info) {
       return info.param.name;
