@@ -4,9 +4,10 @@
 //
 // Three experiments:
 //   join sweep   probe-heavy equijoin tokens against a joined relation of
-//                10^2..10^4 tuples. Statics: scan (stored, hash off), hash
-//                (stored + hash index), btree (virtual + B+tree probe).
-//                The adaptive engine STARTS as scan and must converge.
+//                10^2..10^4 tuples. Statics: scan (virtual, no B+tree: each
+//                probe scans the base relation), hash (stored + hash
+//                index), btree (virtual + B+tree probe). The adaptive
+//                engine STARTS as scan and must converge.
 //   churn sweep  bulk append/delete churn through the joined relation with
 //                a quiet probe side. Statics: stored + hash, all-virtual.
 //                The per-memory split (probed side stored, churn side
@@ -14,7 +15,8 @@
 //   mid-run shift one engine, workload flips from probe-heavy to
 //                churn-heavy halfway; measures re-plan latency
 //                (adaptive_replan_ns) and post-adaptation throughput
-//                against statics stuck on their install-time shape.
+//                against statics stuck on their install-time shape. The
+//                adaptive engine again starts as scan.
 //
 // All workloads run through Database::Execute so every command ends at a
 // quiescence point where the adaptive optimizer may re-plan.
@@ -43,6 +45,14 @@ const char* ConfigName(Config c) {
     case Config::kAdaptive: return "adaptive";
   }
   return "?";
+}
+
+/// α-memory policy for the join sweep and the shift: scan (the
+/// mis-installed start, also the adaptive engine's) and btree run virtual
+/// memories, hash runs stored ones. Only btree gets a B+tree on s.
+AlphaMemoryPolicy::Mode ModeFor(Config c) {
+  return c == Config::kHash ? AlphaMemoryPolicy::Mode::kAllStored
+                            : AlphaMemoryPolicy::Mode::kAllVirtual;
 }
 
 /// ARIEL_ADAPTIVE overrides DatabaseOptions, so pin it per configuration.
@@ -76,18 +86,16 @@ JoinPoint RunJoinPoint(Config config, int size, int trials) {
   PinAdaptiveEnv(config == Config::kAdaptive);
   DatabaseOptions options;
   options.auto_activate_rules = false;
-  options.alpha_policy.mode = config == Config::kBtree
-                                  ? AlphaMemoryPolicy::Mode::kAllVirtual
-                                  : AlphaMemoryPolicy::Mode::kAllStored;
-  // The adaptive engine starts on the worst static shape (stored entry
-  // scans) and has to find the hash path itself.
-  options.join_hash_indexes = config == Config::kHash;
+  // The adaptive engine starts on the worst static shape (virtual memories
+  // without a B+tree: every probe scans s) and has to find the hash path
+  // itself.
+  options.alpha_policy.mode = ModeFor(config);
   Database db(options);
 
   CheckOk(db.Execute("create r (k = int, pad = int)").status(), "create r");
   CheckOk(db.Execute("create s (k = int, pad = int)").status(), "create s");
   CheckOk(db.Execute("create sink (x = int)").status(), "create sink");
-  if (config == Config::kBtree || config == Config::kAdaptive) {
+  if (config == Config::kBtree) {
     CheckOk(db.Execute("define index on s (k)").status(), "index s");
   }
   CheckOk(db.Execute("define rule sweep if r.k = s.k "
@@ -152,7 +160,6 @@ double RunChurnPoint(Config config, int commands, uint64_t* replans) {
   options.alpha_policy.mode = config == Config::kBtree
                                   ? AlphaMemoryPolicy::Mode::kAllVirtual
                                   : AlphaMemoryPolicy::Mode::kAllStored;
-  options.join_hash_indexes = config != Config::kScan;
   Database db(options);
 
   CheckOk(db.Execute("create r (k = int, pad = int)").status(), "create r");
@@ -216,17 +223,16 @@ ShiftResult RunShift(Config config, int size, int phase_scale) {
   PinAdaptiveEnv(config == Config::kAdaptive);
   DatabaseOptions options;
   options.auto_activate_rules = false;
-  options.alpha_policy.mode = config == Config::kBtree
-                                  ? AlphaMemoryPolicy::Mode::kAllVirtual
-                                  : AlphaMemoryPolicy::Mode::kAllStored;
-  options.join_hash_indexes = config == Config::kHash;
+  options.alpha_policy.mode = ModeFor(config);
   Database db(options);
 
   CheckOk(db.Execute("create r (k = int, pad = int)").status(), "create r");
   CheckOk(db.Execute("create s (k = int, pad = int)").status(), "create s");
   CheckOk(db.Execute("create sink (x = int)").status(), "create sink");
   CheckOk(db.Execute("define index on r (k)").status(), "index r");
-  CheckOk(db.Execute("define index on s (k)").status(), "index s");
+  if (config == Config::kBtree) {
+    CheckOk(db.Execute("define index on s (k)").status(), "index s");
+  }
   CheckOk(db.Execute("define rule shift if r.k = s.k "
                      "then append to sink (x = 1)")
               .status(),
@@ -259,7 +265,7 @@ ShiftResult RunShift(Config config, int size, int phase_scale) {
       }
     }
   };
-  probe_tokens(96);  // adaptive converges scan -> hash here
+  probe_tokens(96);  // adaptive converges scan -> stored + hash here
   const int phase1_tokens = 32 * phase_scale;
   Timer timer;
   probe_tokens(phase1_tokens);
@@ -267,18 +273,19 @@ ShiftResult RunShift(Config config, int size, int phase_scale) {
   out.phase1_token_ms = timer.ElapsedMillis() / phase1_tokens;
 
   // Phase 2: the workload flips to churn through s (appends above the key
-  // range so nothing matches, bulk-deleted each round).
+  // range so nothing matches, bulk-deleted each round). The delete selects
+  // on pad, not k, so every config's delete scans s alike and only the
+  // network differs, with or without a B+tree on s.
   int next_key = size;
   auto churn_round = [&]() {
     std::string block = "do";
     for (int i = 0; i < 32; ++i) {
       block += " append s (k = " + std::to_string(size + (next_key++ % 4096)) +
-               ", pad = 0)";
+               ", pad = 1)";
     }
     block += " end";
     CheckOk(db.Execute(block).status(), "shift churn append");
-    CheckOk(db.Execute("delete s where s.k >= " + std::to_string(size))
-                .status(),
+    CheckOk(db.Execute("delete s where s.pad = 1").status(),
             "shift churn delete");
   };
   for (int i = 0; i < 8; ++i) churn_round();  // adaptive re-plans here

@@ -8,13 +8,11 @@ int main() {
   using namespace ariel;
   using namespace ariel::bench;
 
-  BenchReporter reporter(JoinHashEnabled() ? "fig11_three_var_rules"
-                                           : "fig11_three_var_rules_scan");
+  BenchReporter reporter("fig11_three_var_rules");
   const bool smoke = SmokeMode();
   const int max_rules = smoke ? 25 : 200;
   const int trials = smoke ? 1 : 3;
   DatabaseOptions options;
-  options.join_hash_indexes = JoinHashEnabled();
   std::vector<FigureRow> rows;
   for (int n = 25; n <= max_rules; n += 25) {
     rows.push_back(RunFigureProtocolMedian(/*rule_type=*/3, n, options,

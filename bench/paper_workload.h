@@ -91,15 +91,6 @@ inline std::string PaperRuleText(int rule_type, int i) {
          " then append to bench_log (name = emp.name)";
 }
 
-/// Hash join indexing knob for A/B runs: ARIEL_JOIN_HASH=0 forces the scan
-/// fallback in every join memory, anything else (or unset) leaves the
-/// default hash path on. The same binary thus emits both the indexed and
-/// the forced-scan BENCH json.
-inline bool JoinHashEnabled() {
-  const char* v = std::getenv("ARIEL_JOIN_HASH");
-  return v == nullptr || v[0] == '\0' || v[0] != '0';
-}
-
 /// Median of a sample vector (destructive).
 inline double Median(std::vector<double>* samples) {
   std::sort(samples->begin(), samples->end());
@@ -223,7 +214,6 @@ inline ScalingRow RunJoinScalingPoint(int rule_type, int num_rules,
   DatabaseOptions options;
   options.alpha_policy.mode = AlphaMemoryPolicy::Mode::kAllStored;
   options.auto_activate_rules = false;
-  options.join_hash_indexes = JoinHashEnabled();
   Database db(options);
 
   CheckOk(db.Execute("create emp (name = string, age = int, sal = float, "
@@ -324,8 +314,9 @@ inline ScalingRow RunJoinScalingPoint(int rule_type, int num_rules,
 
 inline void PrintScalingTable(const char* figure,
                               const std::vector<ScalingRow>& rows) {
-  std::printf("=== %s: joined-relation scaling (stored memories, %s) ===\n",
-              figure, JoinHashEnabled() ? "hash probes" : "forced scan");
+  std::printf("=== %s: joined-relation scaling (stored memories, hash "
+              "probes) ===\n",
+              figure);
   std::printf("%-14s %-16s %-14s %-16s %-16s\n", "relation size",
               "token test(ms)", "join_probes", "join_hash_probes",
               "join_scan_fallbacks");

@@ -1,8 +1,7 @@
 // Columnar vs row scan throughput: the same retrieve over a single
 // relation, swept across table size (10^2 .. 10^5 rows) and predicate
 // selectivity, with the columnar execution layer on and off
-// (ARIEL_COLUMNAR=1 vs 0 — the bench sets the env var per point, so each
-// Database resolves the master switch exactly the way a user run would).
+// (OptimizerOptions.columnar_exec, flipped per point).
 //
 // The row path evaluates the compiled predicate on a scratch row per tuple
 // and deep-copies every projected Value; the columnar path evaluates the
@@ -36,10 +35,8 @@ struct Point {
 };
 
 Point RunPoint(int size, int sel_pct, bool columnar) {
-  // The env var is the master switch (it overwrites the option), so flip it
-  // the way an A/B harness would.
-  setenv("ARIEL_COLUMNAR", columnar ? "1" : "0", /*overwrite=*/1);
   DatabaseOptions options;
+  options.optimizer.columnar_exec = columnar;
   Database db(options);
   CheckOk(db.Execute("create data (id = int, val = int, pad = string)")
               .status(),

@@ -38,9 +38,7 @@ REQUIRE_RESULTS = {
     "scan_throughput",
     "join_scaling",
     "fig10_two_var_rules",
-    "fig10_two_var_rules_scan",
     "fig11_three_var_rules",
-    "fig11_three_var_rules_scan",
     "adaptive_optimizer",
 }
 

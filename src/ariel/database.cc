@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <limits>
 #include <sstream>
 
 #include "parser/parser.h"
@@ -28,17 +27,8 @@ size_t EnvSizeOr(const char* name, size_t fallback) {
 
 Database::Database(DatabaseOptions options)
     : options_(options), optimizer_(options.optimizer) {
-  options_.columnar_exec =
-      EnvSizeOr("ARIEL_COLUMNAR", options_.columnar_exec ? 1 : 0) != 0;
-  {
-    // optimizer_ was constructed from options.optimizer before the env
-    // override ran; re-apply the resolved master switch.
-    OptimizerOptions opt = optimizer_.options();
-    opt.columnar_exec = options_.columnar_exec;
-    optimizer_.set_options(opt);
-  }
   options_.batch_tokens = EnvSizeOr("ARIEL_BATCH_TOKENS", options_.batch_tokens);
-  network_.set_columnar_exec(options_.columnar_exec);
+  network_.set_columnar_exec(options_.optimizer.columnar_exec);
   options_.match_threads =
       EnvSizeOr("ARIEL_MATCH_THREADS", options_.match_threads);
   if (options_.match_threads > 0) {
@@ -62,8 +52,7 @@ Database::Database(DatabaseOptions options)
   rules_->set_undo_log(&txn_->undo_log());
   rules_->set_policy(options.alpha_policy);
   rules_->set_join_backend(options.join_backend);
-  rules_->set_join_hash_indexes(options.join_hash_indexes);
-  rules_->set_columnar_exec(options_.columnar_exec);
+  rules_->set_columnar_exec(options_.optimizer.columnar_exec);
   monitor_ = std::make_unique<RuleExecutionMonitor>(rules_.get(),
                                                     executor_.get(),
                                                     transitions_.get());
@@ -91,7 +80,6 @@ Database::Database(DatabaseOptions options)
     AdaptiveConfig config;
     config.min_gain = options_.adaptive_min_gain;
     config.min_tokens = options_.adaptive_min_tokens;
-    config.columnar_min_rows = options_.optimizer.columnar_min_rows;
     adaptive_ = std::make_unique<AdaptiveOptimizer>(config);
   }
 }
@@ -543,26 +531,8 @@ Status Database::MaybeAdaptNetworks() {
     if (decision.strategy.alpha_stored != decision.current.alpha_stored) {
       Metrics().adaptive_alpha_switches.Increment();
     }
-    if (decision.strategy.join_hash_indexes !=
-        decision.current.join_hash_indexes) {
-      Metrics().adaptive_index_switches.Increment();
-    }
-    if (decision.strategy.columnar_exec != decision.current.columnar_exec) {
-      Metrics().adaptive_columnar_switches.Increment();
-    }
     if (decision.strategy.join_order != decision.current.join_order) {
       Metrics().adaptive_join_order_switches.Increment();
-    }
-    // The rule's row/column decision becomes the learned per-relation
-    // columnar_min_rows override for the relations it ranges over (last
-    // writer wins when rules disagree — the most recently re-planned rule
-    // has the freshest statistics).
-    for (size_t i = 0; i < rule->network->num_vars(); ++i) {
-      const HeapRelation* rel = rule->network->alpha(i)->spec().relation;
-      optimizer_.set_columnar_min_rows_for(
-          rel->id(), decision.strategy.columnar_exec
-                         ? options_.optimizer.columnar_min_rows
-                         : std::numeric_limits<size_t>::max());
     }
   }
   return Status::OK();

@@ -42,11 +42,6 @@ struct DatabaseOptions {
   /// Join-network algorithm for pattern rules: the paper's TREAT (default)
   /// or classic Rete with β-memories (§8's combined-network direction).
   JoinBackend join_backend = JoinBackend::kTreat;
-  /// Hash join indexes over stored α-memories and Rete β-levels: equijoin
-  /// probes become O(1 + matches) bucket lookups instead of entry scans.
-  /// Off forces the scan fallback everywhere (A/B comparison; the §4.2
-  /// index-vs-scan knob).
-  bool join_hash_indexes = true;
   /// Equal-priority tie-break: deterministic definition order (default) or
   /// OPS5-style recency.
   ConflictStrategy conflict_strategy = ConflictStrategy::kDefinitionOrder;
@@ -77,21 +72,12 @@ struct DatabaseOptions {
   /// definite non-terminating cascade. Overridable with the ARIEL_ANALYZE
   /// env var (off | warn | error).
   AnalyzeOnInstall analyze_on_install = AnalyzeOnInstall::kOff;
-  /// Columnar batch execution: evaluate vectorizable predicates column-at-
-  /// a-time over cached ColumnBatch views — scan/filter residual prefixes,
-  /// α-memory candidate prefilters in the join networks, and Δ-batch
-  /// classification in the selection network. Off forces the row path
-  /// everywhere (A/B comparison; results are identical either way).
-  /// Overridable with the ARIEL_COLUMNAR env var (0 | 1). The master
-  /// switch: it overwrites optimizer.columnar_exec.
-  bool columnar_exec = true;
   /// Adaptive network optimization: at every quiescence point (after a
   /// top-level command's cascade settles and commits), re-price each active
   /// rule's network shape — TREAT vs Rete, stored vs virtual α-memories,
-  /// TREAT probe order, hash join indexes, row vs column execution — from
-  /// live statistics and rebuild it when a candidate beats the current
-  /// shape by the hysteresis margin. Off (default) keeps install-time
-  /// shapes forever. Overridable with the ARIEL_ADAPTIVE env var (0 | 1).
+  /// TREAT probe order — from live statistics and rebuild it when a
+  /// candidate beats the current shape by the hysteresis margin. Off
+  /// (default) keeps install-time shapes forever. Overridable with the ARIEL_ADAPTIVE env var (0 | 1).
   bool adaptive_optimize = false;
   /// Hysteresis margin: re-plan only when the best candidate's modeled cost
   /// is below current * (1 - adaptive_min_gain). Negative forces a re-plan

@@ -88,14 +88,6 @@ bool MatchEquiJoin(const Expr& expr, const Scope& scope, size_t* left_var,
 
 }  // namespace
 
-size_t Optimizer::columnar_min_rows_for(const HeapRelation* relation) const {
-  if (relation != nullptr) {
-    auto it = columnar_min_rows_overrides_.find(relation->id());
-    if (it != columnar_min_rows_overrides_.end()) return it->second;
-  }
-  return options_.columnar_min_rows;
-}
-
 Result<Plan> Optimizer::BuildPlan(const std::vector<PlanVar>& vars,
                                   const Expr* qual) const {
   // Build the scope. P-node columns already include previous values as
@@ -268,7 +260,7 @@ Result<Plan> Optimizer::BuildPlan(const std::vector<PlanVar>& vars,
       scans[v] = std::make_unique<SeqScanNode>(
           vars[v].relation, v, n, std::move(filter),
           vars[v].is_pnode ? "PnodeScan" : "SeqScan", std::move(vector_filter),
-          std::move(row_residual), columnar_min_rows_for(vars[v].relation));
+          std::move(row_residual), options_.columnar_min_rows);
     }
   }
 
@@ -297,9 +289,7 @@ Result<Plan> Optimizer::BuildPlan(const std::vector<PlanVar>& vars,
     }
     return PlanNodePtr(std::make_unique<FilterNode>(
         std::move(child), std::move(pred), expr.ToString(), vrel, vvar,
-        std::move(vp),
-        vrel != nullptr ? columnar_min_rows_for(vrel)
-                        : options_.columnar_min_rows));
+        std::move(vp), options_.columnar_min_rows));
   };
 
   // --- Greedy join ordering ---

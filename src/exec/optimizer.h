@@ -2,7 +2,6 @@
 #define ARIEL_EXEC_OPTIMIZER_H_
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "exec/plan.h"
@@ -28,9 +27,12 @@ struct OptimizerOptions {
   /// Minimum estimated outer*inner row product before sort-merge is
   /// preferred over nested loop.
   double sort_merge_threshold = 256;
-  /// Compile vectorizable scan/filter conjuncts into column-at-a-time
-  /// kernels over cached ColumnBatch views (DatabaseOptions.columnar_exec /
-  /// ARIEL_COLUMNAR propagate here).
+  /// Columnar batch execution: compile vectorizable scan/filter conjuncts
+  /// into column-at-a-time kernels over cached ColumnBatch views. Database
+  /// hands the same switch to the join networks' α-memory prefilters and
+  /// the selection network's Δ-batch classification. Off forces the row
+  /// path everywhere — the reference the equivalence tests compare
+  /// against; results are identical either way.
   bool columnar_exec = true;
   /// Minimum live-tuple count, checked at execute time, before a scan or
   /// filter actually takes the columnar path; below it the per-scan mask
@@ -50,29 +52,16 @@ class Optimizer {
 
   /// Builds a plan producing every binding of `vars` satisfying `qual`
   /// (null = no qualification). Scope ordinals follow `vars` order. Const:
-  /// planning reads the options and overrides but never mutates the
-  /// optimizer, so the concurrent read path can plan against a snapshot.
+  /// planning reads the options but never mutates the optimizer, so the
+  /// concurrent read path can plan against a snapshot.
   [[nodiscard]] Result<Plan> BuildPlan(const std::vector<PlanVar>& vars,
                                        const Expr* qual) const;
 
   const OptimizerOptions& options() const { return options_; }
   void set_options(OptimizerOptions options) { options_ = options; }
 
-  /// Learned per-relation override of options().columnar_min_rows (the
-  /// adaptive optimizer's row/column decision: 0 forces the columnar path
-  /// for any live-tuple count, SIZE_MAX pins the row path). Applies to
-  /// plans built after the call; cached plans re-check at execute time.
-  void set_columnar_min_rows_for(uint32_t relation_id, size_t min_rows) {
-    columnar_min_rows_overrides_[relation_id] = min_rows;
-  }
-  void clear_columnar_min_rows_overrides() {
-    columnar_min_rows_overrides_.clear();
-  }
-  size_t columnar_min_rows_for(const HeapRelation* relation) const;
-
  private:
   OptimizerOptions options_;
-  std::unordered_map<uint32_t, size_t> columnar_min_rows_overrides_;
 };
 
 /// Estimated selectivity of one conjunct (equality tighter than ranges),

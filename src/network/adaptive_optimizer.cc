@@ -25,7 +25,6 @@ constexpr double kVirtualScanSetup = 4.0;
 constexpr double kStoredUpkeepCost = 2.0;
 constexpr double kHashUpkeepCost = 1.0;
 constexpr double kBetaUpkeepCost = 2.0;
-constexpr double kBetaProbeCost = 1.5;
 constexpr double kPnodeRetractCost = 1.0;
 constexpr double kEntryRent = 1.0 / 8192.0;
 
@@ -63,13 +62,14 @@ double EstimatedEntries(const NetworkStrategy& s, const VarObservation& v,
 }
 
 /// Cost of enumerating join candidates out of variable `v` for one probe.
-double AccessCost(const NetworkStrategy& s, const VarObservation& v, size_t i,
-                  const AdaptiveConfig& config) {
+/// A stored memory is probed through its hash index when keyed; otherwise
+/// it is scanned, with the columnar prefilter from the network's own gate.
+double AccessCost(const NetworkStrategy& s, const VarObservation& v,
+                  size_t i) {
   if (StoredUnder(s, v, i)) {
+    if (v.has_equijoin) return kHashProbeCost;
     const double entries = EstimatedEntries(s, v, i);
-    if (s.join_hash_indexes && v.has_equijoin) return kHashProbeCost;
-    if (s.columnar_exec &&
-        entries >= static_cast<double>(config.columnar_min_rows)) {
+    if (entries >= static_cast<double>(kColumnarPrefilterMinEntries)) {
       return kColumnarSetupCost + entries * kColumnarRowCost;
     }
     return entries * kEntryTestCost;
@@ -116,12 +116,12 @@ std::vector<size_t> WalkOrder(const RuleObservation& obs,
 /// remaining variables in order, discounting/amplifying later probes by the
 /// accumulated fan-out.
 double TreatJoinCost(const RuleObservation& obs, const NetworkStrategy& s,
-                     size_t trigger, const AdaptiveConfig& config) {
+                     size_t trigger) {
   double cost = 0;
   double carry = 1.0;
   for (size_t v : WalkOrder(obs, s)) {
     if (v == trigger) continue;
-    cost += carry * AccessCost(s, obs.vars[v], v, config);
+    cost += carry * AccessCost(s, obs.vars[v], v);
     carry *= Fanout(s, obs.vars[v], v);
   }
   return cost;
@@ -143,20 +143,19 @@ double BetaSize(const RuleObservation& obs, const NetworkStrategy& s) {
 /// `idx` under Rete: probe the β level to its left, extend rightward, and
 /// pay β upkeep for every level the new partials land in.
 double ReteJoinCost(const RuleObservation& obs, const NetworkStrategy& s,
-                    size_t idx, const AdaptiveConfig& config) {
+                    size_t idx) {
   const size_t n = obs.vars.size();
   double cost = 0;
   if (idx == 1) {
     // The left neighbor of ordinal 1 is α₀ itself, not a β memory — it may
     // be virtual, in which case the probe pays the base-relation path.
-    cost += AccessCost(s, obs.vars[0], 0, config);
+    cost += AccessCost(s, obs.vars[0], 0);
   } else if (idx > 1) {
-    cost += s.join_hash_indexes ? kHashProbeCost
-                                : std::max(kBetaProbeCost, BetaSize(obs, s));
+    cost += kHashProbeCost;  // keyed probe into the β level to the left
   }
   double carry = 1.0;
   for (size_t v = idx + 1; v < n; ++v) {
-    cost += carry * AccessCost(s, obs.vars[v], v, config);
+    cost += carry * AccessCost(s, obs.vars[v], v);
     carry *= Fanout(s, obs.vars[v], v);
   }
   // β levels exist for ordinals [1, n-2]; a partial is stored at every
@@ -188,8 +187,6 @@ std::string NetworkStrategy::ToString() const {
       os << ")";
       break;
   }
-  os << " hash=" << (join_hash_indexes ? "on" : "off")
-     << " columnar=" << (columnar_exec ? "on" : "off");
   if (!join_order.empty()) {
     os << " order=[";
     for (size_t i = 0; i < join_order.size(); ++i) {
@@ -207,8 +204,7 @@ bool operator==(const NetworkStrategy& a, const NetworkStrategy& b) {
   // threshold are its derivation and excluded (two thresholds that resolve
   // to the same split describe the same network).
   return a.backend == b.backend && a.alpha_stored == b.alpha_stored &&
-         a.join_hash_indexes == b.join_hash_indexes &&
-         a.columnar_exec == b.columnar_exec && a.join_order == b.join_order;
+         a.join_order == b.join_order;
 }
 
 RuleObservation CollectObservation(const RuleNetwork& network,
@@ -216,8 +212,6 @@ RuleObservation CollectObservation(const RuleNetwork& network,
   RuleObservation obs;
   obs.rule = network.rule_name();
   obs.backend = network.backend();
-  obs.join_hash_indexes = network.join_hash_indexes();
-  obs.columnar_exec = network.columnar_exec();
   const RuleNetwork::MatchStats& stats = network.match_stats();
   obs.arrivals = stats.arrivals;
   obs.plus_tokens = stats.plus_tokens;
@@ -263,8 +257,7 @@ RuleObservation CollectObservation(const RuleNetwork& network,
 }
 
 double AdaptiveOptimizer::ModelCost(const RuleObservation& obs,
-                                    const NetworkStrategy& s,
-                                    const AdaptiveConfig& config) {
+                                    const NetworkStrategy& s) {
   const size_t n = obs.vars.size();
   if (n == 0 || obs.arrivals == 0) return 0;
   const double total = static_cast<double>(obs.arrivals);
@@ -292,15 +285,14 @@ double AdaptiveOptimizer::ModelCost(const RuleObservation& obs,
 
     double upkeep = 0;
     if (StoredUnder(s, v, i)) {
-      upkeep = kStoredUpkeepCost +
-               (s.join_hash_indexes && v.has_equijoin ? kHashUpkeepCost : 0);
+      upkeep = kStoredUpkeepCost + (v.has_equijoin ? kHashUpkeepCost : 0);
     }
 
     double plus_join = 0;
     double minus_extra = kPnodeRetractCost;
     if (n > 1) {
       if (s.backend == JoinBackend::kRete) {
-        plus_join = ReteJoinCost(obs, s, i, config);
+        plus_join = ReteJoinCost(obs, s, i);
         // Retraction walks every β level at or right of the variable.
         if (n >= 3) {
           const size_t first_level = std::max<size_t>(i, 1);
@@ -310,7 +302,7 @@ double AdaptiveOptimizer::ModelCost(const RuleObservation& obs,
           }
         }
       } else {
-        plus_join = TreatJoinCost(obs, s, i, config);
+        plus_join = TreatJoinCost(obs, s, i);
       }
     }
     cost += arrivals * (upkeep + plus_frac * plus_join +
@@ -323,8 +315,6 @@ NetworkStrategy AdaptiveOptimizer::CurrentStrategy(
     const RuleObservation& obs) {
   NetworkStrategy s;
   s.backend = obs.backend;
-  s.join_hash_indexes = obs.join_hash_indexes;
-  s.columnar_exec = obs.columnar_exec;
   s.join_order = obs.planned_join_order;
   size_t stored = 0;
   size_t replannable = 0;
@@ -349,7 +339,7 @@ NetworkStrategy AdaptiveOptimizer::BestStrategy(const RuleObservation& obs,
   const size_t n = obs.vars.size();
   const NetworkStrategy current = CurrentStrategy(obs);
   NetworkStrategy best = current;
-  double best_c = ModelCost(obs, current, config_);
+  double best_c = ModelCost(obs, current);
 
   // α-choice candidates: every split point of the estimated-cardinality
   // ladder (so individual memories can be promoted or demoted), expressed
@@ -369,51 +359,43 @@ NetworkStrategy AdaptiveOptimizer::BestStrategy(const RuleObservation& obs,
 
   for (JoinBackend backend : backends) {
     for (double cut : cuts) {
-      for (bool hash : {true, false}) {
-        for (bool columnar : {true, false}) {
-          NetworkStrategy cand;
-          cand.backend = backend;
-          cand.join_hash_indexes = hash;
-          cand.columnar_exec = columnar;
-          cand.alpha = NetworkStrategy::AlphaChoice::kThreshold;
-          cand.virtual_threshold = cut;
-          // Resolve the split into the explicit per-variable decision the
-          // rule manager applies, canonicalizing uniform splits.
-          size_t stored = 0;
-          size_t replannable = 0;
-          for (size_t i = 0; i < n; ++i) {
-            const VarObservation& v = obs.vars[i];
-            cand.alpha_stored.push_back(StoredUnder(cand, v, i) ? 1 : 0);
-            if (!v.replannable) continue;
-            ++replannable;
-            if (cand.alpha_stored.back() != 0) ++stored;
-          }
-          if (replannable == 0 || stored == replannable) {
-            cand.alpha = NetworkStrategy::AlphaChoice::kAllStored;
-            cand.virtual_threshold = 0;
-          } else if (stored == 0) {
-            cand.alpha = NetworkStrategy::AlphaChoice::kAllVirtual;
-            cand.virtual_threshold = 0;
-          }
-          // Explicit probe order for 3+-variable TREAT walks: ascending
-          // access cost, so cheap keyed memories are bound before
-          // expensive scans.
-          if (backend == JoinBackend::kTreat && n >= 3) {
-            std::vector<size_t> order(n);
-            for (size_t i = 0; i < n; ++i) order[i] = i;
-            std::stable_sort(
-                order.begin(), order.end(), [&](size_t a, size_t b) {
-                  return AccessCost(cand, obs.vars[a], a, config_) <
-                         AccessCost(cand, obs.vars[b], b, config_);
-                });
-            cand.join_order = std::move(order);
-          }
-          const double c = ModelCost(obs, cand, config_);
-          if (c < best_c) {
-            best_c = c;
-            best = cand;
-          }
-        }
+      NetworkStrategy cand;
+      cand.backend = backend;
+      cand.alpha = NetworkStrategy::AlphaChoice::kThreshold;
+      cand.virtual_threshold = cut;
+      // Resolve the split into the explicit per-variable decision the rule
+      // manager applies, canonicalizing uniform splits.
+      size_t stored = 0;
+      size_t replannable = 0;
+      for (size_t i = 0; i < n; ++i) {
+        const VarObservation& v = obs.vars[i];
+        cand.alpha_stored.push_back(StoredUnder(cand, v, i) ? 1 : 0);
+        if (!v.replannable) continue;
+        ++replannable;
+        if (cand.alpha_stored.back() != 0) ++stored;
+      }
+      if (replannable == 0 || stored == replannable) {
+        cand.alpha = NetworkStrategy::AlphaChoice::kAllStored;
+        cand.virtual_threshold = 0;
+      } else if (stored == 0) {
+        cand.alpha = NetworkStrategy::AlphaChoice::kAllVirtual;
+        cand.virtual_threshold = 0;
+      }
+      // Explicit probe order for 3+-variable TREAT walks: ascending access
+      // cost, so cheap keyed memories are bound before expensive scans.
+      if (backend == JoinBackend::kTreat && n >= 3) {
+        std::vector<size_t> order(n);
+        for (size_t i = 0; i < n; ++i) order[i] = i;
+        std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+          return AccessCost(cand, obs.vars[a], a) <
+                 AccessCost(cand, obs.vars[b], b);
+        });
+        cand.join_order = std::move(order);
+      }
+      const double c = ModelCost(obs, cand);
+      if (c < best_c) {
+        best_c = c;
+        best = cand;
       }
     }
   }
@@ -459,7 +441,7 @@ AdaptiveOptimizer::Decision AdaptiveOptimizer::Evaluate(
   const RuleObservation obs = Windowed(raw, state);
   Decision decision;
   decision.current = CurrentStrategy(obs);
-  decision.current_cost = ModelCost(obs, decision.current, config_);
+  decision.current_cost = ModelCost(obs, decision.current);
   decision.strategy = BestStrategy(obs, &decision.best_cost);
 
   if (state.replans > 0 && obs.arrivals < config_.min_tokens) {

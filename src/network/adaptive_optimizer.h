@@ -30,7 +30,9 @@ class SelectionNetwork;
 // ---------------------------------------------------------------------------
 
 /// One target network shape for a rule — every dimension the engine can
-/// re-plan at run time.
+/// re-plan at run time. Hash-vs-scan and row-vs-column are not dimensions:
+/// stored memories always hash their equijoin keys, and the network's own
+/// size gate (kColumnarPrefilterMinEntries) picks row or column per scan.
 struct NetworkStrategy {
   /// Join algorithm (pattern rules only; rules with dynamic memories always
   /// run TREAT regardless — RuleNetwork::Init enforces the fallback).
@@ -49,12 +51,6 @@ struct NetworkStrategy {
   /// the rule compiler does not see — is what ReplanRule applies, and what
   /// strategy equality compares. Empty means "derive from `alpha`".
   std::vector<uint8_t> alpha_stored;
-
-  /// Hash join indexes over stored α-memories / Rete β-levels.
-  bool join_hash_indexes = true;
-
-  /// Columnar candidate prefilters on stored-α scan fallbacks.
-  bool columnar_exec = true;
 
   /// Explicit TREAT probe order (variable ordinals, a permutation of the
   /// rule's variables): ExtendJoin binds the earliest unbound entry first.
@@ -102,8 +98,6 @@ struct VarObservation {
 struct RuleObservation {
   std::string rule;
   JoinBackend backend = JoinBackend::kTreat;
-  bool join_hash_indexes = true;
-  bool columnar_exec = true;
   /// No event/transition memories: Rete is available and priming can
   /// recompute the P-node.
   bool pure_pattern = true;
@@ -129,8 +123,6 @@ struct AdaptiveConfig {
   double min_gain = 0.25;
   /// A rule must absorb this many tokens between its re-plans.
   uint64_t min_tokens = 64;
-  /// Baseline row/column break-even (mirrors OptimizerOptions).
-  size_t columnar_min_rows = 64;
 };
 
 /// The statistics-driven cost model plus per-rule re-plan bookkeeping.
@@ -182,15 +174,14 @@ class AdaptiveOptimizer {
   /// comparisons between shapes for the same observation are meaningful.
   /// Exposed for the unit tests.
   static double ModelCost(const RuleObservation& obs,
-                          const NetworkStrategy& s,
-                          const AdaptiveConfig& config);
+                          const NetworkStrategy& s);
 
   /// The shape `obs` currently runs, lifted into strategy form.
   static NetworkStrategy CurrentStrategy(const RuleObservation& obs);
 
   /// Cheapest candidate shape under the cost model (enumerates backend ×
-  /// α-choice × hash × columnar and derives the TREAT join order for
-  /// 3+-variable rules). `best_cost` receives its modeled cost.
+  /// α-choice and derives the TREAT join order for 3+-variable rules).
+  /// `best_cost` receives its modeled cost.
   NetworkStrategy BestStrategy(const RuleObservation& obs,
                                double* best_cost) const;
 

@@ -71,7 +71,7 @@ class DiscriminationNetwork {
   uint64_t AdvanceEpoch() { return ++epoch_; }
 
   /// Columnar batch classification in the selection layer (mirrors
-  /// DatabaseOptions.columnar_exec); affects MatchBatch and how
+  /// OptimizerOptions.columnar_exec); affects MatchBatch and how
   /// subsequently added rules compile their selection predicates.
   void set_columnar_exec(bool on) { selection_.set_columnar_exec(on); }
 

@@ -7,14 +7,6 @@
 
 namespace ariel {
 
-namespace {
-
-/// Minimum stored-α entry count before the scan fallback bothers building
-/// a mask; below this the per-scan kernel setup costs more than it saves.
-constexpr size_t kColumnarPrefilterMinEntries = 16;
-
-}  // namespace
-
 const char* AlphaKindToString(AlphaKind kind) {
   switch (kind) {
     case AlphaKind::kStored: return "stored";
@@ -302,9 +294,7 @@ Status RuleNetwork::Init() {
     }
     join_conjuncts_.push_back(std::move(cc));
   }
-  if (join_hash_indexes_) {
-    ARIEL_RETURN_NOT_OK(ConfigureAlphaJoinIndexes());
-  }
+  ARIEL_RETURN_NOT_OK(ConfigureAlphaJoinIndexes());
 
   for (const auto& alpha : alphas_) {
     if (alpha->is_dynamic()) has_dynamic_ = true;
@@ -387,7 +377,6 @@ Status RuleNetwork::ConfigureAlphaJoinIndexes() {
 Result<std::vector<JoinKeySpec>> RuleNetwork::DeriveBetaKeySpecs(
     size_t level) const {
   std::vector<JoinKeySpec> specs;
-  if (!join_hash_indexes_) return specs;
   const size_t arriving = level + 1;
   for (const ExprPtr& expr : join_exprs_) {
     if (expr->kind != ExprKind::kBinary) continue;

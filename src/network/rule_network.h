@@ -38,6 +38,11 @@ enum class AlphaKind : uint8_t {
 
 const char* AlphaKindToString(AlphaKind kind);
 
+/// Minimum stored-α entry count before a join's scan fallback builds a
+/// columnar prefilter mask; below this the per-scan kernel setup costs more
+/// than it saves. The adaptive optimizer prices scans at the same gate.
+inline constexpr size_t kColumnarPrefilterMinEntries = 16;
+
 /// Construction-time description of one α-memory node, produced by the rule
 /// compiler from the rule's condition.
 struct AlphaSpec {
@@ -202,17 +207,10 @@ class RuleNetwork {
   /// any token processing.
   [[nodiscard]] Status Init();
 
-  /// Enables/disables hash join indexing over stored α-memories and Rete
-  /// β-levels. Must be set before Init; off forces the scan fallback
-  /// everywhere (A/B comparison and the forced-scan test path).
-  void set_join_hash_indexes(bool on) { join_hash_indexes_ = on; }
-  bool join_hash_indexes() const { return join_hash_indexes_; }
-
   /// Enables the columnar candidate prefilter on stored-α scan fallbacks
-  /// (mirrors DatabaseOptions.columnar_exec). Must be set before Init —
+  /// (mirrors OptimizerOptions.columnar_exec). Must be set before Init —
   /// probe derivation happens there.
   void set_columnar_exec(bool on) { columnar_exec_ = on; }
-  bool columnar_exec() const { return columnar_exec_; }
 
   const std::string& rule_name() const { return rule_name_; }
   /// The P-node's synthetic relation id — reused across re-plans so a
@@ -501,7 +499,6 @@ class RuleNetwork {
   uint64_t ordinal_ = 0;
   uint64_t epoch_ = 0;  // match epoch of the token being propagated
   bool compensating_ = false;
-  bool join_hash_indexes_ = true;
   bool columnar_exec_ = true;
   bool initialized_ = false;
   bool has_dynamic_ = false;

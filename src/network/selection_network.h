@@ -63,9 +63,8 @@ class SelectionNetwork {
       const std::vector<Token>& tokens) const;
 
   /// Enables columnar batch verification (mirrors
-  /// DatabaseOptions.columnar_exec). Off forces per-token verification.
+  /// OptimizerOptions.columnar_exec). Off forces per-token verification.
   void set_columnar_exec(bool on) { columnar_exec_ = on; }
-  bool columnar_exec() const { return columnar_exec_; }
 
   /// Diagnostics: how many conditions are interval-indexed vs. residual.
   size_t num_indexed() const { return num_indexed_; }

@@ -52,7 +52,6 @@ Status RuleManager::ActivateRule(const std::string& raw_name) {
   auto network = std::make_unique<RuleNetwork>(
       name, next_pnode_id_++, std::move(compiled.alphas),
       std::move(compiled.join_conjuncts), join_backend_);
-  network->set_join_hash_indexes(join_hash_indexes_);
   network->set_columnar_exec(columnar_exec_);
   network->set_ordinal(next_ordinal_++);
   ARIEL_RETURN_NOT_OK(network->Init());
@@ -121,8 +120,7 @@ Status RuleManager::ReplanRule(const std::string& raw_name,
   auto network = std::make_unique<RuleNetwork>(
       name, old->pnode_relation_id(), std::move(compiled.alphas),
       std::move(compiled.join_conjuncts), strategy.backend);
-  network->set_join_hash_indexes(strategy.join_hash_indexes);
-  network->set_columnar_exec(strategy.columnar_exec);
+  network->set_columnar_exec(columnar_exec_);
   ARIEL_RETURN_NOT_OK(network->Init());
   if (network->backend() == JoinBackend::kTreat) {
     ARIEL_RETURN_NOT_OK(

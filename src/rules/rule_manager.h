@@ -126,14 +126,9 @@ class RuleManager {
   JoinBackend join_backend() const { return join_backend_; }
   void set_join_backend(JoinBackend backend) { join_backend_ = backend; }
 
-  /// Hash join indexes over stored α-memories / Rete β-levels for
-  /// subsequently activated rules. Off forces the scan fallback.
-  bool join_hash_indexes() const { return join_hash_indexes_; }
-  void set_join_hash_indexes(bool on) { join_hash_indexes_ = on; }
-
   /// Columnar candidate prefilters on stored-α scan fallbacks for
-  /// subsequently activated rules (mirrors DatabaseOptions.columnar_exec).
-  bool columnar_exec() const { return columnar_exec_; }
+  /// subsequently activated and re-planned rules (mirrors
+  /// OptimizerOptions.columnar_exec).
   void set_columnar_exec(bool on) { columnar_exec_ = on; }
 
  private:
@@ -143,7 +138,6 @@ class RuleManager {
   UndoLog* undo_ = nullptr;
   AlphaMemoryPolicy policy_;
   JoinBackend join_backend_ = JoinBackend::kTreat;
-  bool join_hash_indexes_ = true;
   bool columnar_exec_ = true;
 
   uint64_t next_rule_id_ = 1;

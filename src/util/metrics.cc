@@ -408,10 +408,6 @@ EngineMetrics::EngineMetrics()
           registry.RegisterCounter("adaptive_backend_switches")),
       adaptive_alpha_switches(
           registry.RegisterCounter("adaptive_alpha_switches")),
-      adaptive_index_switches(
-          registry.RegisterCounter("adaptive_index_switches")),
-      adaptive_columnar_switches(
-          registry.RegisterCounter("adaptive_columnar_switches")),
       adaptive_join_order_switches(
           registry.RegisterCounter("adaptive_join_order_switches")),
       token_process_ns(registry.RegisterHistogram("token_process_ns")),

@@ -403,8 +403,6 @@ struct EngineMetrics {
   Counter adaptive_replans;           // networks actually rebuilt
   Counter adaptive_backend_switches;  // re-plans that flipped TREAT↔Rete
   Counter adaptive_alpha_switches;    // re-plans changing stored/virtual α
-  Counter adaptive_index_switches;    // re-plans toggling hash join indexes
-  Counter adaptive_columnar_switches;  // re-plans flipping row↔column exec
   Counter adaptive_join_order_switches;  // re-plans changing the probe order
 
   Histogram token_process_ns;  // DiscriminationNetwork::ProcessToken

@@ -59,7 +59,6 @@ void PinEnv(const AdaptiveParams& p, Variant variant) {
                    variant == Variant::kForcedAdaptive ? "1" : "0",
                    /*overwrite=*/1),
             0);
-  ASSERT_EQ(setenv("ARIEL_COLUMNAR", p.columnar ? "1" : "0", 1), 0);
   ASSERT_EQ(setenv("ARIEL_BATCH_TOKENS",
                    std::to_string(p.batch_tokens).c_str(), 1),
             0);
@@ -77,8 +76,6 @@ NetworkStrategy InstallShape(const AdaptiveParams& p, size_t num_vars) {
   s.alpha = stored ? NetworkStrategy::AlphaChoice::kAllStored
                    : NetworkStrategy::AlphaChoice::kAllVirtual;
   s.alpha_stored.assign(num_vars, stored ? 1 : 0);
-  s.join_hash_indexes = true;
-  s.columnar_exec = p.columnar;
   return s;
 }
 
@@ -92,7 +89,7 @@ void RunScenario(const AdaptiveParams& p, Variant variant, Snapshot* snap) {
   options.alpha_policy.mode = p.mode;
   options.join_backend = p.backend;
   options.batch_tokens = p.batch_tokens;
-  options.columnar_exec = p.columnar;
+  options.optimizer.columnar_exec = p.columnar;
   options.auto_activate_rules = false;
   if (variant == Variant::kForcedAdaptive) {
     options.adaptive_optimize = true;
@@ -290,7 +287,6 @@ INSTANTIATE_TEST_SUITE_P(
 // `explain rule` reports the live strategy plus the re-plan count.
 TEST(AdaptiveObservabilityTest, ShowStatsAndExplainReportStrategy) {
   ASSERT_EQ(setenv("ARIEL_ADAPTIVE", "1", 1), 0);
-  ASSERT_EQ(setenv("ARIEL_COLUMNAR", "1", 1), 0);
   ASSERT_EQ(setenv("ARIEL_BATCH_TOKENS", "0", 1), 0);
   DatabaseOptions options;
   options.adaptive_min_gain = -1.0;

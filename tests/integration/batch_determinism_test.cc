@@ -1,10 +1,11 @@
 // Determinism of batched Δ-set propagation: for every thread count, join
-// backend, and join-index setting, a run with token batching (and the
-// parallel match stage) must be byte-identical to the per-token serial run —
-// same firing trace, same P-node contents in storage order, same final
-// relation contents. The batch pipeline reorders *work*, never *effects*:
-// each rule sees its arrivals in token order, and P-node insertions are
-// stamped by token epoch and rule ordinal rather than by evaluation order.
+// backend, and keyed (hash-probed) or key-less (scanned) equijoins, a run
+// with token batching (and the parallel match stage) must be byte-identical
+// to the per-token serial run — same firing trace, same P-node contents in
+// storage order, same final relation contents. The batch pipeline reorders
+// *work*, never *effects*: each rule sees its arrivals in token order, and
+// P-node insertions are stamped by token epoch and rule ordinal rather than
+// by evaluation order.
 //
 // The runs use recency conflict resolution on purpose: firing order then
 // depends on P-node match stamps, so trace equality also proves the batch
@@ -29,7 +30,7 @@ struct BatchParams {
   const char* name;
   size_t threads;
   JoinBackend backend;
-  bool hash;
+  bool hash;  // equijoins keyed (`=`) or key-less (`>= and <=`)
 };
 
 struct RunCapture {
@@ -52,7 +53,13 @@ class BatchDeterminismTest : public ::testing::TestWithParam<BatchParams> {
   /// One fixed deterministic workload: cases 1-4 inside do…end blocks, bulk
   /// replaces/deletes (many tokens per transition), rule cascades, a
   /// self-join, and an on-replace rule that rewrites its own trigger.
-  static void Drive(Database& db) {
+  /// `keyed` writes the equijoins as `a = b`; otherwise as the key-less
+  /// `a >= b and a <= b`, which no hash index can serve.
+  static void Drive(Database& db, bool keyed) {
+    auto eq = [keyed](const std::string& lhs, const std::string& rhs) {
+      return keyed ? lhs + " = " + rhs
+                   : lhs + " >= " + rhs + " and " + lhs + " <= " + rhs;
+    };
     auto Exec = [&db](const std::string& script) {
       SCOPED_TRACE(script);
       ASSERT_OK(db.Execute(script).status());
@@ -65,10 +72,10 @@ class BatchDeterminismTest : public ::testing::TestWithParam<BatchParams> {
 
     Exec("define rule audit_hire on append emp if emp.sal > 50 "
          "then append to log (msg = \"hire\")");
-    Exec("define rule pay_join priority 3 if emp.dno = dept.dno and "
-         "emp.sal > dept.budget then append to sink (x = emp.sal)");
-    Exec("define rule peer_gap priority 5 if e1.dno = e2.dno and "
-         "e1.sal > e2.sal + 40 from e1 in emp, e2 in emp "
+    Exec("define rule pay_join priority 3 if " + eq("emp.dno", "dept.dno") +
+         " and emp.sal > dept.budget then append to sink (x = emp.sal)");
+    Exec("define rule peer_gap priority 5 if " + eq("e1.dno", "e2.dno") +
+         " and e1.sal > e2.sal + 40 from e1 in emp, e2 in emp "
          "then append to log (msg = \"gap\")");
     Exec("define rule clamp priority 8 on replace emp(sal) "
          "if emp.sal > 90 then replace emp (sal = 90)");
@@ -119,12 +126,11 @@ class BatchDeterminismTest : public ::testing::TestWithParam<BatchParams> {
     DatabaseOptions options;
     options.alpha_policy.mode = mode;
     options.join_backend = p.backend;
-    options.join_hash_indexes = p.hash;
     options.conflict_strategy = ConflictStrategy::kRecency;
     options.batch_tokens = batch_tokens;
     options.match_threads = batch_tokens == 0 ? 0 : p.threads;
     Database db(options);
-    Drive(db);
+    Drive(db, p.hash);
 
     RunCapture capture;
     for (const FiringTraceEntry& e :

@@ -5,10 +5,11 @@
 // scan, join) plus a rule cascade over banded joins — under
 // {columnar on, off} × {columnar_min_rows 0, 1024} and asserts the
 // ResultSets and the full DebugDumpState are byte-identical to the pure
-// row path. Separate tests plant column-cache corruption and check the
-// NetworkAuditor reports kColumnCacheIncoherent.
+// row path (OptimizerOptions.columnar_exec off). The same grid under the
+// adaptive optimizer checks that its shape choices ignore the columnar
+// configuration. Separate tests plant column-cache corruption and check
+// the NetworkAuditor reports kColumnCacheIncoherent.
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -34,20 +35,14 @@ struct Snapshot {
   std::string scan_error;  // message of the deliberately erroring query
 };
 
-void SetColumnarEnv(bool on) {
-  // The env var is the master switch (it overrides DatabaseOptions), so pin
-  // it per configuration: the suite must behave identically no matter what
-  // ARIEL_COLUMNAR the surrounding CI job exports.
-  ASSERT_EQ(setenv("ARIEL_COLUMNAR", on ? "1" : "0", /*overwrite=*/1), 0);
-}
-
-Snapshot RunScenario(bool columnar, size_t min_rows) {
-  SetColumnarEnv(columnar);
+Snapshot RunScenario(bool columnar, size_t min_rows, bool adaptive = false) {
   // The firing-trace ring is process-global and cumulative; clear it so
   // DebugDumpState's trace section only covers this scenario's firings.
   Metrics().firing_trace.Clear();
   DatabaseOptions options;
+  options.optimizer.columnar_exec = columnar;
   options.optimizer.columnar_min_rows = min_rows;
+  options.adaptive_optimize = adaptive;
   options.alpha_policy.mode = AlphaMemoryPolicy::Mode::kAllStored;
   Database db(options);
   Snapshot snap;
@@ -166,8 +161,25 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param.name;
     });
 
+// The adaptive optimizer prices scans at the network's own prefilter gate,
+// so the shapes it picks — and with them the whole dump — do not depend on
+// the columnar switch or the executor's columnar_min_rows.
+TEST(AdaptiveColumnarEquivalenceTest, ShapesIgnoreColumnarConfiguration) {
+  const Snapshot want =
+      RunScenario(/*columnar=*/false, /*min_rows=*/1024, /*adaptive=*/true);
+  for (bool columnar : {false, true}) {
+    for (size_t min_rows : {size_t{0}, size_t{1024}}) {
+      SCOPED_TRACE(std::string(columnar ? "col" : "row") + "_batch" +
+                   std::to_string(min_rows));
+      Snapshot snap = RunScenario(columnar, min_rows, /*adaptive=*/true);
+      EXPECT_EQ(snap.query_results, want.query_results);
+      EXPECT_EQ(snap.scan_error, want.scan_error);
+      EXPECT_EQ(snap.dump, want.dump) << "DebugDumpState drifted";
+    }
+  }
+}
+
 TEST(ColumnarAuditTest, PlantedHeapCacheCorruptionIsReported) {
-  SetColumnarEnv(true);
   DatabaseOptions options;
   options.optimizer.columnar_min_rows = 0;
   Database db(options);
@@ -195,7 +207,6 @@ TEST(ColumnarAuditTest, PlantedHeapCacheCorruptionIsReported) {
 }
 
 TEST(ColumnarAuditTest, PlantedAlphaCacheCorruptionIsReported) {
-  SetColumnarEnv(true);
   DatabaseOptions options;
   options.alpha_policy.mode = AlphaMemoryPolicy::Mode::kAllStored;
   Database db(options);
@@ -212,8 +223,8 @@ TEST(ColumnarAuditTest, PlantedAlphaCacheCorruptionIsReported) {
                          std::to_string(d * 50 + 20) + ")")
                   .status());
   }
-  // Tokens drive the banded join, whose scan prefilter builds the dept
-  // α-memory's column view.
+  // Tokens drive the banded join, whose scan prefilter builds column views
+  // over the stored α-memories it scans.
   for (int i = 0; i < 8; ++i) {
     ASSERT_OK(db.Execute("append emp (sal = " + std::to_string(i * 55) +
                          ", dno = " + std::to_string(i) + ")")
@@ -222,20 +233,23 @@ TEST(ColumnarAuditTest, PlantedAlphaCacheCorruptionIsReported) {
   Rule* rule = db.rules().GetRule("band");
   ASSERT_NE(rule, nullptr);
   ASSERT_TRUE(rule->active);
-  // Find the dept α-memory and corrupt its cached batch.
-  AlphaMemory* dept_alpha = nullptr;
+  // Corrupt the cached batch of a memory that materializes entries. The
+  // adaptive optimizer may have re-planned either memory to virtual, whose
+  // view is empty and cannot be corrupted.
+  AlphaMemory* stored_alpha = nullptr;
   for (size_t i = 0; i < rule->network->num_vars(); ++i) {
-    if (rule->network->alpha(i)->spec().relation->name() == "dept") {
-      dept_alpha = rule->network->alpha(i);
+    AlphaMemory* alpha = rule->network->alpha(i);
+    if (alpha->stores_tuples() && !alpha->entries().empty()) {
+      stored_alpha = alpha;
     }
   }
-  ASSERT_NE(dept_alpha, nullptr);
+  ASSERT_NE(stored_alpha, nullptr) << "no stored α-memory to corrupt";
   {
     auto clean = db.AuditNetwork();
     ASSERT_OK(clean.status());
     EXPECT_TRUE(clean->empty());
   }
-  dept_alpha->CorruptColumnCacheForTesting();
+  stored_alpha->CorruptColumnCacheForTesting();
   auto violations = db.AuditNetwork();
   ASSERT_OK(violations.status());
   bool found = false;

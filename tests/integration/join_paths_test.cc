@@ -1,7 +1,8 @@
 // Cross-configuration equivalence of the join candidate paths: TREAT and
-// Rete, each with hash join indexes on and forced to the scan fallback, must
-// produce byte-identical P-node contents for the same update stream. The
-// hash bucket probe is a pure prefilter — turning it off (or switching the
+// Rete, each with equijoins written as `a = b` (hash-keyed probes) and in
+// the key-less form `a >= b and a <= b` (the scan fallback), must produce
+// byte-identical P-node contents for the same update stream. The hash
+// bucket probe is a pure prefilter — losing the key (or switching the
 // backend) may change how much work the engine does, never what it matches.
 
 #include <map>
@@ -22,8 +23,16 @@ namespace {
 struct JoinPathParams {
   const char* name;
   JoinBackend backend;
-  bool hash;
+  bool hash;  // equijoins keyed (`=`) or key-less (`>= and <=`)
 };
+
+/// The join conjunct `lhs = rhs`, or its key-less equivalent that no hash
+/// index can serve.
+std::string EqJoin(const std::string& lhs, const std::string& rhs,
+                   bool keyed) {
+  if (keyed) return lhs + " = " + rhs;
+  return lhs + " >= " + rhs + " and " + lhs + " <= " + rhs;
+}
 
 class JoinPathsTest : public ::testing::TestWithParam<JoinPathParams> {
  protected:
@@ -55,9 +64,10 @@ class JoinPathsTest : public ::testing::TestWithParam<JoinPathParams> {
     return names;
   }
 
-  /// Builds a database under `backend`/`hash`, drives a fixed deterministic
-  /// update stream through the storage gateway (no rule firings: P-nodes
-  /// accumulate exactly the incremental match state), and returns each
+  /// Builds a database under `backend` with keyed or key-less equijoins
+  /// (`hash`), drives a fixed deterministic update stream through the
+  /// storage gateway (no rule firings: P-nodes accumulate exactly the
+  /// incremental match state), and returns each
   /// rule's canonical P-node contents.
   static std::map<std::string, std::multiset<std::string>> Run(
       JoinBackend backend, bool hash) {
@@ -65,7 +75,6 @@ class JoinPathsTest : public ::testing::TestWithParam<JoinPathParams> {
     options.alpha_policy.mode = AlphaMemoryPolicy::Mode::kAllStored;
     options.auto_activate_rules = false;
     options.join_backend = backend;
-    options.join_hash_indexes = hash;
     Database db(options);
 
     EXPECT_OK(db.Execute("create emp (name = string, sal = int, dno = int, "
@@ -73,13 +82,16 @@ class JoinPathsTest : public ::testing::TestWithParam<JoinPathParams> {
     EXPECT_OK(db.Execute("create dept (dno = int, name = string)"));
     EXPECT_OK(db.Execute("create job (jno = int, paygrade = int)"));
     EXPECT_OK(db.Execute("create sink (x = int)"));
-    EXPECT_OK(db.Execute("define rule r_join2 if emp.sal > 10 and "
-                         "emp.dno = dept.dno then append to sink (x = 1)"));
-    EXPECT_OK(db.Execute("define rule r_join3 if emp.sal > 5 and "
-                         "emp.dno = dept.dno and emp.jno = job.jno and "
-                         "job.paygrade >= 2 then append to sink (x = 1)"));
-    EXPECT_OK(db.Execute("define rule r_selfjoin if e1.sal > e2.sal and "
-                         "e1.dno = e2.dno from e1 in emp, e2 in emp "
+    EXPECT_OK(db.Execute("define rule r_join2 if emp.sal > 10 and " +
+                         EqJoin("emp.dno", "dept.dno", hash) +
+                         " then append to sink (x = 1)"));
+    EXPECT_OK(db.Execute("define rule r_join3 if emp.sal > 5 and " +
+                         EqJoin("emp.dno", "dept.dno", hash) + " and " +
+                         EqJoin("emp.jno", "job.jno", hash) +
+                         " and job.paygrade >= 2 then append to sink (x = 1)"));
+    EXPECT_OK(db.Execute("define rule r_selfjoin if e1.sal > e2.sal and " +
+                         EqJoin("e1.dno", "e2.dno", hash) +
+                         " from e1 in emp, e2 in emp "
                          "then append to sink (x = 1)"));
 
     HeapRelation* emp = db.catalog().GetRelation("emp");
@@ -176,7 +188,7 @@ TEST_P(JoinPathsTest, PnodeContentsMatchForcedScanBaseline) {
   }
 #endif
 
-  // Reference: TREAT with hash indexes off (the paper's plain algorithm).
+  // Reference: TREAT over key-less joins (the paper's plain entry scan).
   auto reference = Run(JoinBackend::kTreat, false);
   ASSERT_EQ(got.size(), reference.size());
   for (const auto& [rule, contents] : reference) {

@@ -137,18 +137,17 @@ TEST_F(ObservabilityTest, JoinRuleCountsAlphaMemoryAndJoinProbes) {
 }
 
 TEST_F(ObservabilityTest, ForcedScanFallbackCountsScansNotHashProbes) {
-  // join_hash_indexes = false is the A/B switch: the same script must
+  // The same join written key-less (no `=` for a hash index to serve) must
   // produce identical firings with every probe downgraded to an entry scan.
-  DatabaseOptions options = MakeOptions();
-  options.join_hash_indexes = false;
-  Database scan_db(options);
+  Database scan_db(MakeOptions());
   Metrics().registry.Reset();
   auto exec = [&](const std::string& s) { return scan_db.Execute(s).status(); };
   ASSERT_OK(exec("create emp (name = string, sal = float, dno = int)"));
   ASSERT_OK(exec("create dept (dno = int, dname = string)"));
   ASSERT_OK(exec("create out (v = int)"));
-  ASSERT_OK(exec("define rule pay if emp.dno = dept.dno and "
-                 "emp.sal > 100.0 then append out (v = 1)"));
+  ASSERT_OK(exec("define rule pay if emp.dno >= dept.dno and "
+                 "emp.dno <= dept.dno and emp.sal > 100.0 "
+                 "then append out (v = 1)"));
   ASSERT_OK(exec("append dept (dno = 1, dname = \"sales\")"));
   ASSERT_OK(exec("append emp (name = \"ann\", sal = 200.0, dno = 1)"));
 

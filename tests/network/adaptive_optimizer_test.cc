@@ -1,11 +1,11 @@
 // Unit tests for the adaptive network optimizer's cost model and hysteresis
 // (DESIGN.md §14). The model is exercised on hand-built observations — no
 // database needed — so every test pins one qualitative property the
-// re-planner relies on: hash probes beat scans, columnar amortizes only
-// above the break-even row count, churn-heavy rarely-probed memories demote
-// to virtual, probe-heavy ones promote to stored, Rete wins late-arrival
-// workloads and loses minus-heavy ones, and the derived TREAT probe order
-// binds keyed memories before expensive scans. The hysteresis tests prove
+// re-planner relies on: keyed hash probes beat scans, columnar amortizes
+// only from the network's prefilter gate on, churn-heavy rarely-probed
+// memories demote to virtual, probe-heavy ones promote to stored, Rete wins
+// late-arrival workloads and loses minus-heavy ones, and the derived TREAT
+// probe order binds keyed memories before expensive scans. The hysteresis tests prove
 // the Evaluate gate never flip-flops on stable statistics.
 
 #include <string>
@@ -55,41 +55,37 @@ NetworkStrategy AllStored(size_t n) {
 TEST(AdaptiveCostModelTest, ZeroTrafficCostsNothing) {
   RuleObservation obs = Obs("idle", {Var("a", 100, 100, 1.0, true, false, 0),
                                      Var("b", 100, 100, 1.0, true, false, 0)});
-  EXPECT_EQ(AdaptiveOptimizer::ModelCost(obs, AllStored(2), {}), 0.0);
+  EXPECT_EQ(AdaptiveOptimizer::ModelCost(obs, AllStored(2)), 0.0);
 }
 
 TEST(AdaptiveCostModelTest, HashIndexCheapensEquijoinProbes) {
-  RuleObservation obs =
-      Obs("r", {Var("emp", 10000, 10000, 1.0, true, false, 1000),
-                Var("dept", 10000, 10000, 1.0, true, false, 1000)});
-  NetworkStrategy hashed = AllStored(2);
-  NetworkStrategy scanned = AllStored(2);
-  scanned.join_hash_indexes = false;
-  EXPECT_LT(AdaptiveOptimizer::ModelCost(obs, hashed, {}),
-            AdaptiveOptimizer::ModelCost(obs, scanned, {}));
+  // Stored memories always hash their equijoin keys: the keyed rule probes
+  // a bucket where the same rule without a bound key scans every entry.
+  auto rule = [](bool keyed) {
+    return Obs("r", {Var("emp", 10000, 10000, 1.0, keyed, false, 1000),
+                     Var("dept", 10000, 10000, 1.0, keyed, false, 1000)});
+  };
+  EXPECT_LT(AdaptiveOptimizer::ModelCost(rule(true), AllStored(2)),
+            AdaptiveOptimizer::ModelCost(rule(false), AllStored(2)));
 }
 
 TEST(AdaptiveCostModelTest, ColumnarAmortizesOnlyAboveBreakEven) {
-  // A banded (non-equijoin) probe has to scan the partner memory; columnar
-  // masks cut the per-row cost but pay a per-scan setup.
+  // A banded (non-equijoin) probe has to scan the partner memory. From the
+  // network's prefilter gate on, a columnar mask cuts the per-row cost but
+  // pays a per-scan setup; below it every entry is tested row by row.
   auto banded = [](size_t entries) {
-    return Obs("band", {Var("emp", entries, entries, 1.0, false, false, 100),
-                        Var("dept", entries, entries, 1.0, false, false, 0)});
+    return AdaptiveOptimizer::ModelCost(
+        Obs("band", {Var("emp", entries, entries, 1.0, false, false, 100),
+                     Var("dept", entries, entries, 1.0, false, false, 0)}),
+        AllStored(2));
   };
-  NetworkStrategy columnar = AllStored(2);
-  NetworkStrategy row = AllStored(2);
-  columnar.join_hash_indexes = row.join_hash_indexes = false;
-  row.columnar_exec = false;
-  AdaptiveConfig config;  // columnar_min_rows = 64
-
-  RuleObservation big = banded(10000);
-  EXPECT_LT(AdaptiveOptimizer::ModelCost(big, columnar, config),
-            AdaptiveOptimizer::ModelCost(big, row, config));
-
-  // Below the break-even the columnar shape takes the row path: same cost.
-  RuleObservation small = banded(10);
-  EXPECT_EQ(AdaptiveOptimizer::ModelCost(small, columnar, config),
-            AdaptiveOptimizer::ModelCost(small, row, config));
+  const size_t gate = kColumnarPrefilterMinEntries;
+  // The mask setup is paid off right at the gate: one more entry makes
+  // the scan cheaper, not dearer.
+  EXPECT_LT(banded(gate), banded(gate - 1));
+  // Above the gate an added entry costs less than it does below it.
+  EXPECT_LT(banded(gate + 1) - banded(gate),
+            banded(gate - 1) - banded(gate - 2));
 }
 
 TEST(AdaptiveCostModelTest, ChurnHeavyRarelyProbedMemoryDemotesToVirtual) {
@@ -106,7 +102,7 @@ TEST(AdaptiveCostModelTest, ChurnHeavyRarelyProbedMemoryDemotesToVirtual) {
   ASSERT_EQ(best.alpha_stored.size(), 2u);
   EXPECT_EQ(best.alpha_stored[1], 0) << "churn-heavy dept should be virtual";
   EXPECT_EQ(best.alpha_stored[0], 1) << "probe-heavy emp should stay stored";
-  EXPECT_LT(best_cost, AdaptiveOptimizer::ModelCost(obs, AllStored(2), {}));
+  EXPECT_LT(best_cost, AdaptiveOptimizer::ModelCost(obs, AllStored(2)));
 }
 
 TEST(AdaptiveCostModelTest, ProbeHeavyMemoryPromotesToStored) {
@@ -136,8 +132,8 @@ TEST(AdaptiveCostModelTest, ReteWinsWhenTokensArriveLate) {
   NetworkStrategy treat = AllStored(3);
   NetworkStrategy rete = AllStored(3);
   rete.backend = JoinBackend::kRete;
-  EXPECT_LT(AdaptiveOptimizer::ModelCost(obs, rete, {}),
-            AdaptiveOptimizer::ModelCost(obs, treat, {}));
+  EXPECT_LT(AdaptiveOptimizer::ModelCost(obs, rete),
+            AdaptiveOptimizer::ModelCost(obs, treat));
   AdaptiveOptimizer opt;
   NetworkStrategy best = opt.BestStrategy(obs, nullptr);
   EXPECT_EQ(best.backend, JoinBackend::kRete);
@@ -156,8 +152,8 @@ TEST(AdaptiveCostModelTest, TreatWinsMinusHeavyEarlyArrivals) {
   NetworkStrategy treat = AllStored(3);
   NetworkStrategy rete = AllStored(3);
   rete.backend = JoinBackend::kRete;
-  EXPECT_LT(AdaptiveOptimizer::ModelCost(obs, treat, {}),
-            AdaptiveOptimizer::ModelCost(obs, rete, {}));
+  EXPECT_LT(AdaptiveOptimizer::ModelCost(obs, treat),
+            AdaptiveOptimizer::ModelCost(obs, rete));
   AdaptiveOptimizer opt;
   NetworkStrategy best = opt.BestStrategy(obs, nullptr);
   EXPECT_EQ(best.backend, JoinBackend::kTreat);
@@ -190,8 +186,8 @@ TEST(AdaptiveCostModelTest, DerivedJoinOrderBindsKeyedMemoriesFirst) {
   keyed_first.join_order = {0, 2, 1};
   NetworkStrategy scan_first = AllStored(3);
   scan_first.join_order = {0, 1, 2};
-  EXPECT_LT(AdaptiveOptimizer::ModelCost(obs, keyed_first, {}),
-            AdaptiveOptimizer::ModelCost(obs, scan_first, {}));
+  EXPECT_LT(AdaptiveOptimizer::ModelCost(obs, keyed_first),
+            AdaptiveOptimizer::ModelCost(obs, scan_first));
 }
 
 TEST(AdaptiveCostModelTest, StrategyEqualityComparesResolvedSplit) {
@@ -259,8 +255,6 @@ TEST(AdaptiveHysteresisTest, NoFlipFlopOnStableStats) {
     }
   }
   settled.backend = first.strategy.backend;
-  settled.join_hash_indexes = first.strategy.join_hash_indexes;
-  settled.columnar_exec = first.strategy.columnar_exec;
   settled.planned_join_order = first.strategy.join_order;
   AdaptiveOptimizer::Decision second = opt.Evaluate(settled);
   EXPECT_FALSE(second.replan) << second.reason;
