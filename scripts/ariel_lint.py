@@ -57,14 +57,12 @@ Rules
                  allow() with a one-line justification.
   network-topology
                  Network-shape construction calls (make_unique<RuleNetwork>,
-                 Prime(), set_planned_join_order()) in src/ outside
-                 src/network/ and the rule manager's install/re-plan entry
-                 points (src/rules/rule_manager.cc). A rule's network may
-                 only be (re)built through RuleManager::AddRule/ReplanRule:
-                 anywhere else skips the P-node state carry-over, the
-                 auditor hook, and the adaptive optimizer's bookkeeping, so
-                 the topology silently diverges from what the optimizer
-                 believes is installed.
+                 Prime()) in src/ outside src/network/ and the rule
+                 manager's activation entry point
+                 (src/rules/rule_manager.cc). A rule's network may only be
+                 built through RuleManager::ActivateRule: anywhere else
+                 skips the P-node journal, the match-stamp ordinal and the
+                 discrimination-network registration the auditor checks.
   read-path-purity
                  Mutation entry points inside the body of an
                  `ExecuteReadOnly` definition. Those bodies are the engine's
@@ -267,13 +265,13 @@ BARE_OK_RE = re.compile(
 # executor. Scans must go through the columnar batch machinery (ColumnView +
 # selection-vector kernels) or a deliberately annotated row fallback.
 HEAP_ITER_RE = re.compile(r"(->|\.)\s*(AllTupleIds|ForEachTuple)\s*\(")
-# network-topology: building or re-shaping a rule's join network is the
-# exclusive business of src/network/ and the rule manager's install/re-plan
-# entry points; ad-hoc topology mutation elsewhere bypasses P-node carry-
-# over, auditing, and the adaptive optimizer's bookkeeping.
+# network-topology: building a rule's join network is the exclusive
+# business of src/network/ and the rule manager's activation entry point;
+# ad-hoc construction elsewhere bypasses the P-node journal, the stamp
+# ordinal, and the registration the auditor checks.
 NETWORK_TOPOLOGY_RE = re.compile(
     r"make_unique\s*<\s*RuleNetwork\s*>|"
-    r"(->|\.)\s*(Prime|set_planned_join_order)\s*\(")
+    r"(->|\.)\s*Prime\s*\(")
 NETWORK_TOPOLOGY_OK = (("src", "network"),)
 NETWORK_TOPOLOGY_OK_FILES = (("src", "rules", "rule_manager.cc"),)
 
@@ -409,17 +407,17 @@ def lint_file(path: Path) -> list[Finding]:
                    "a StorageGateway (or annotate why this relation is not "
                    "base data)")
 
-    # network-topology: network (re)construction stays inside src/network/
-    # and the rule manager's install/re-plan entry points.
+    # network-topology: network construction stays inside src/network/ and
+    # the rule manager's activation entry point.
     if (rel_all[0] == "src" and rel_all[:2] not in NETWORK_TOPOLOGY_OK
             and rel_all not in NETWORK_TOPOLOGY_OK_FILES):
         for m in NETWORK_TOPOLOGY_RE.finditer(code):
             lineno = code[: m.start()].count("\n") + 1
             report(lineno, "network-topology",
-                   "rule-network topology mutation outside src/network/ and "
-                   "RuleManager::AddRule/ReplanRule — re-shape networks "
-                   "through the rule manager so P-node state, auditing, and "
-                   "adaptive bookkeeping stay consistent")
+                   "rule-network construction outside src/network/ and "
+                   "RuleManager::ActivateRule — build networks through the "
+                   "rule manager so the P-node journal and auditing stay "
+                   "consistent")
 
     # read-path-purity: no mutation entry point inside the body of an
     # ExecuteReadOnly definition (the const read path).

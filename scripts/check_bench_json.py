@@ -39,7 +39,6 @@ REQUIRE_RESULTS = {
     "join_scaling",
     "fig10_two_var_rules",
     "fig11_three_var_rules",
-    "adaptive_optimizer",
 }
 
 # `bench/<name>` where the path ends at the name (excludes directories

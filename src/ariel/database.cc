@@ -1,6 +1,7 @@
 #include "ariel/database.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <sstream>
 
@@ -13,14 +14,20 @@ namespace ariel {
 namespace {
 
 /// Environment override for the batch-pipeline knobs (A/B comparisons
-/// without recompiling callers). Malformed values are ignored.
+/// without recompiling callers). Malformed values are ignored: anything
+/// but a plain run of decimal digits that fits in size_t (no sign, no
+/// whitespace).
 size_t EnvSizeOr(const char* name, size_t fallback) {
   const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(raw, &end, 10);
-  if (end == raw || *end != '\0') return fallback;
-  return static_cast<size_t>(parsed);
+  if (raw == nullptr) return fallback;
+  const std::string_view text(raw);
+  size_t parsed = 0;
+  const auto [end, error] =
+      std::from_chars(text.data(), text.data() + text.size(), parsed);
+  if (error != std::errc() || end != text.data() + text.size()) {
+    return fallback;
+  }
+  return parsed;
 }
 
 }  // namespace
@@ -74,14 +81,6 @@ Database::Database(DatabaseOptions options)
   monitor_->set_on_action_error(options_.on_action_error);
   network_.set_token_listener(
       [this](const Token& token) { ObserveToken(token); });
-  options_.adaptive_optimize =
-      EnvSizeOr("ARIEL_ADAPTIVE", options_.adaptive_optimize ? 1 : 0) != 0;
-  if (options_.adaptive_optimize) {
-    AdaptiveConfig config;
-    config.min_gain = options_.adaptive_min_gain;
-    config.min_tokens = options_.adaptive_min_tokens;
-    adaptive_ = std::make_unique<AdaptiveOptimizer>(config);
-  }
 }
 
 Database::~Database() = default;
@@ -304,21 +303,6 @@ std::string Database::RenderStats() const {
      << ", rollbacks=" << txn_->rollbacks()
      << (txn_->in_explicit() ? " (explicit transaction open)" : "")
      << "\n";
-  os << "adaptive optimizer: "
-     << (adaptive_ == nullptr ? "off" : "on");
-  if (adaptive_ != nullptr) {
-    os << " (min_gain=" << adaptive_->config().min_gain
-       << ", min_tokens=" << adaptive_->config().min_tokens << ")";
-  }
-  os << "\n";
-  for (const Rule* rule : rules_->ActiveRules()) {
-    if (rule->network == nullptr) continue;
-    RuleObservation obs = CollectObservation(
-        *rule->network, &network_.selection_network());
-    os << "  " << rule->name << ": "
-       << AdaptiveOptimizer::CurrentStrategy(obs).ToString()
-       << ", replans=" << rule->replans << "\n";
-  }
   const uint64_t total = m.firing_trace.total_recorded();
   if (total > 0) {
     std::vector<FiringTraceEntry> recent = m.firing_trace.Recent(10);
@@ -385,13 +369,6 @@ Result<CommandResult> Database::ExecuteReadOnly(
            << " residual conditions):\n"
            << selection.DescribeRule(rule->network.get());
         os << "join network:\n" << rule->network->ToString();
-        RuleObservation obs = CollectObservation(
-            *rule->network, &network_.selection_network());
-        os << "strategy: "
-           << AdaptiveOptimizer::CurrentStrategy(obs).ToString()
-           << ", re-planned " << rule->replans << " time"
-           << (rule->replans == 1 ? "" : "s") << " (adaptive optimizer "
-           << (adaptive_ == nullptr ? "off" : "on") << ")\n";
         const PNode* pnode = rule->network->pnode();
         os << "P-node: " << pnode->size() << " pending instantiation"
            << (pnode->size() == 1 ? "" : "s") << ", "
@@ -487,55 +464,10 @@ Result<CommandResult> Database::ExecuteTransacted(const Command& command,
   ARIEL_RETURN_NOT_OK(
       AuditOrFail(result.ok() ? "at quiescence" : "after rollback"));
 #endif
-  // With the engine quiescent (and outside explicit transactions, whose
-  // state may yet roll back), let the adaptive optimizer re-price rule
-  // networks against the statistics this command's cascade produced.
-  if (result.ok() && !ddl && adaptive_ != nullptr && !txn_->in_explicit()) {
-    ARIEL_RETURN_NOT_OK(MaybeAdaptNetworks());
-  }
   // With the engine quiescent, deliver subscribed trigger output (alerts
   // queued by an aborted command were truncated by the rollback).
   if (result.ok()) DrainAlerts();
   return result;
-}
-
-Status Database::MaybeAdaptNetworks() {
-  const SelectionNetwork& selection = network_.selection_network();
-  for (Rule* rule : rules_->ActiveRules()) {
-    if (rule->network == nullptr) continue;
-    // Cheap cadence gate: a full observation + model evaluation only after
-    // the rule absorbs a fresh slice of tokens, so a quiescent or settled
-    // rule costs one counter comparison per command.
-    if (!adaptive_->ShouldEvaluate(rule->name,
-                                   rule->network->match_stats().arrivals)) {
-      continue;
-    }
-    Metrics().adaptive_evaluations.Increment();
-    RuleObservation obs = CollectObservation(*rule->network, &selection);
-    AdaptiveOptimizer::Decision decision = adaptive_->Evaluate(obs);
-    if (!decision.replan) continue;
-    {
-      ScopedTimer timer(Metrics().adaptive_replan_ns);
-      ARIEL_RETURN_NOT_OK(rules_->ReplanRule(rule->name, decision.strategy));
-    }
-#ifdef ARIEL_AUDIT
-    // The rebuilt network must be indistinguishable from having run the
-    // new shape all along; any divergence is a bug, not a policy matter.
-    ARIEL_RETURN_NOT_OK(AuditOrFail("after re-plan"));
-#endif
-    adaptive_->NoteReplanned(obs);
-    Metrics().adaptive_replans.Increment();
-    if (rule->network->backend() != decision.current.backend) {
-      Metrics().adaptive_backend_switches.Increment();
-    }
-    if (decision.strategy.alpha_stored != decision.current.alpha_stored) {
-      Metrics().adaptive_alpha_switches.Increment();
-    }
-    if (decision.strategy.join_order != decision.current.join_order) {
-      Metrics().adaptive_join_order_switches.Increment();
-    }
-  }
-  return Status::OK();
 }
 
 Status Database::AuditOrFail(const char* when) {

@@ -72,19 +72,6 @@ struct DatabaseOptions {
   /// definite non-terminating cascade. Overridable with the ARIEL_ANALYZE
   /// env var (off | warn | error).
   AnalyzeOnInstall analyze_on_install = AnalyzeOnInstall::kOff;
-  /// Adaptive network optimization: at every quiescence point (after a
-  /// top-level command's cascade settles and commits), re-price each active
-  /// rule's network shape — TREAT vs Rete, stored vs virtual α-memories,
-  /// TREAT probe order — from live statistics and rebuild it when a
-  /// candidate beats the current shape by the hysteresis margin. Off
-  /// (default) keeps install-time shapes forever. Overridable with the ARIEL_ADAPTIVE env var (0 | 1).
-  bool adaptive_optimize = false;
-  /// Hysteresis margin: re-plan only when the best candidate's modeled cost
-  /// is below current * (1 - adaptive_min_gain). Negative forces a re-plan
-  /// at every evaluation (test/bench mode).
-  double adaptive_min_gain = 0.25;
-  /// A rule must absorb this many tokens between consecutive re-plans.
-  size_t adaptive_min_tokens = 64;
 };
 
 /// A pinned, consistent view of the engine taken at a quiescence point.
@@ -228,14 +215,6 @@ class Database : private TransactionHooks {
   /// (ARIEL_AUDIT builds call this at every quiescence point).
   Status AuditOrFail(const char* when);
 
-  /// Quiescence hook of the adaptive optimizer: collects per-rule
-  /// observations, evaluates the cost model under hysteresis, and rebuilds
-  /// any rule whose best shape clears the margin (RuleManager::ReplanRule),
-  /// propagating the learned row/column decision to the rule's relations.
-  /// ARIEL_AUDIT builds additionally re-audit the network after every
-  /// rebuild.
-  Status MaybeAdaptNetworks();
-
   // TransactionHooks (rollback services for txn_):
   Status ApplyUndo(UndoRecord* record) override;
   size_t PendingAlertMark() const override;
@@ -272,8 +251,6 @@ class Database : private TransactionHooks {
   std::unique_ptr<Executor> executor_;
   std::unique_ptr<RuleManager> rules_;
   std::unique_ptr<RuleExecutionMonitor> monitor_;
-  /// Null unless options_.adaptive_optimize (ARIEL_ADAPTIVE) is on.
-  std::unique_ptr<AdaptiveOptimizer> adaptive_;
   /// Declared last: its rollback hooks reach every component above.
   std::unique_ptr<TransactionContext> txn_;
 };

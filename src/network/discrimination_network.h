@@ -20,8 +20,8 @@ class DiscriminationNetwork {
  public:
   DiscriminationNetwork() = default;
 
-  /// Registers a rule network and schedules it (a primed or carried-over
-  /// P-node may already hold instantiations).
+  /// Registers a rule network and schedules it (a primed P-node may
+  /// already hold instantiations).
   [[nodiscard]] Status AddRule(RuleNetwork* rule);
   void RemoveRule(RuleNetwork* rule);
 

@@ -172,12 +172,6 @@ void PNode::AttachJournal(UndoLog* undo) {
   saved_seq_ = attach_seq_ = undo->frame_seq();
 }
 
-void PNode::InheritJournal(const PNode& old) {
-  undo_ = old.undo_;
-  saved_seq_ = old.saved_seq_;
-  attach_seq_ = old.attach_seq_;
-}
-
 void PNode::Journal() {
   if (undo_ == nullptr || !undo_->enabled() ||
       saved_seq_ == undo_->frame_seq()) {

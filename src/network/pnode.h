@@ -126,9 +126,6 @@ class PNode {
   /// rule activated inside a frame has no pre-frame conflict set.
   void AttachJournal(UndoLog* undo);
 
-  /// Re-planning: the rebuilt P-node continues the old one's journal.
-  void InheritJournal(const PNode& old);
-
   /// Saves the conflict set unless the innermost frame already holds a
   /// save. Every write calls it first; the rule manager also calls it
   /// before tearing a network down. Batch match tasks must not be the

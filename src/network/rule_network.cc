@@ -7,6 +7,14 @@
 
 namespace ariel {
 
+namespace {
+
+/// Minimum stored-α entry count before the scan fallback bothers building
+/// a mask; below this the per-scan kernel setup costs more than it saves.
+constexpr size_t kColumnarPrefilterMinEntries = 16;
+
+}  // namespace
+
 const char* AlphaKindToString(AlphaKind kind) {
   switch (kind) {
     case AlphaKind::kStored: return "stored";
@@ -512,21 +520,6 @@ Status RuleNetwork::Arrive(const Token& token, size_t alpha_ordinal,
   last_trigger_ =
       LastTrigger{true, token.kind, token.relation_id, token.tid};
 
-  // Live arrival statistics for the adaptive optimizer. Compensating
-  // (rollback) tokens are replayed history, not workload, and are excluded.
-  if (!compensating_) {
-    ++match_stats_.arrivals;
-    if (match_stats_.var_arrivals.size() != n) {
-      match_stats_.var_arrivals.assign(n, 0);
-    }
-    ++match_stats_.var_arrivals[alpha_ordinal];
-    if (token.is_insertion()) {
-      ++match_stats_.plus_tokens;
-    } else {
-      ++match_stats_.minus_tokens;
-    }
-  }
-
   // Does this token assert a binding here, or retract one? Insertion
   // tokens assert; deletion tokens retract — except at on-delete
   // conditions, where the delete-specified − token IS the triggering event
@@ -762,35 +755,23 @@ Status RuleNetwork::ExtendJoin(const Token& token, Row* row,
   const size_t n = alphas_.size();
   if (num_bound == n) return EmitInstantiation(*row);
 
+  // Join-order heuristic: prefer a variable connected to the bound set by
+  // some join conjunct; among those, the smallest memory.
   int next = -1;
-  if (!planned_join_order_.empty()) {
-    // Explicit probe order installed by the adaptive optimizer: bind the
-    // earliest unbound ordinal in the plan.
-    for (size_t v : planned_join_order_) {
-      if (!(*bound)[v]) {
-        next = static_cast<int>(v);
-        break;
-      }
+  bool next_connected = false;
+  size_t next_size = std::numeric_limits<size_t>::max();
+  for (size_t j = 0; j < n; ++j) {
+    if ((*bound)[j]) continue;
+    bool connected = false;
+    for (size_t i = 0; i < n && !connected; ++i) {
+      if ((*bound)[i] && adjacency_[i][j]) connected = true;
     }
-  }
-  if (next < 0) {
-    // Join-order heuristic: prefer a variable connected to the bound set by
-    // some join conjunct; among those, the smallest memory.
-    bool next_connected = false;
-    size_t next_size = std::numeric_limits<size_t>::max();
-    for (size_t j = 0; j < n; ++j) {
-      if ((*bound)[j]) continue;
-      bool connected = false;
-      for (size_t i = 0; i < n && !connected; ++i) {
-        if ((*bound)[i] && adjacency_[i][j]) connected = true;
-      }
-      size_t size = alphas_[j]->EstimatedSize();
-      if (next < 0 || (connected && !next_connected) ||
-          (connected == next_connected && size < next_size)) {
-        next = static_cast<int>(j);
-        next_connected = connected;
-        next_size = size;
-      }
+    size_t size = alphas_[j]->EstimatedSize();
+    if (next < 0 || (connected && !next_connected) ||
+        (connected == next_connected && size < next_size)) {
+      next = static_cast<int>(j);
+      next_connected = connected;
+      next_size = size;
     }
   }
   const size_t j = static_cast<size_t>(next);
@@ -1040,8 +1021,7 @@ void RuleNetwork::FlushDynamicMemories() {
   }
 }
 
-Status RuleNetwork::Prime(Optimizer* optimizer,
-                          std::optional<uint64_t> pnode_epoch) {
+Status RuleNetwork::Prime(Optimizer* optimizer, uint64_t pnode_epoch) {
   // Load stored α-memories from the base relations.
   for (auto& alpha : alphas_) {
     if (alpha->kind() != AlphaKind::kStored) continue;
@@ -1071,40 +1051,13 @@ Status RuleNetwork::Prime(Optimizer* optimizer,
     }
   }
   ARIEL_RETURN_NOT_OK(PrimeBetas(optimizer));
-  // Re-planning rebuilds α/β state but carries the history-dependent
-  // conflict set over from the old network (PNode::RestoreState) instead of
-  // recomputing it — drained instantiations must stay drained.
-  if (!pnode_epoch.has_value()) return Status::OK();
   ARIEL_ASSIGN_OR_RETURN(std::vector<Row> rows,
                          RecomputeInstantiations(optimizer));
   pnode_->Clear();
   for (const Row& row : rows) {
     ARIEL_RETURN_NOT_OK(
-        pnode_->Insert(row, MatchStamp{*pnode_epoch, ordinal_}));
+        pnode_->Insert(row, MatchStamp{pnode_epoch, ordinal_}));
   }
-  return Status::OK();
-}
-
-Status RuleNetwork::set_planned_join_order(std::vector<size_t> order) {
-  if (order.empty()) {
-    planned_join_order_.clear();
-    return Status::OK();
-  }
-  const size_t n = alphas_.size();
-  std::vector<bool> seen(n, false);
-  if (order.size() != n) {
-    return Status::InvalidArgument("planned join order must cover all " +
-                                   std::to_string(n) + " variables");
-  }
-  for (size_t v : order) {
-    if (v >= n || seen[v]) {
-      return Status::InvalidArgument(
-          "planned join order is not a permutation of the variable "
-          "ordinals");
-    }
-    seen[v] = true;
-  }
-  planned_join_order_ = std::move(order);
   return Status::OK();
 }
 
@@ -1196,13 +1149,6 @@ std::string RuleNetwork::ToString() const {
   }
   for (const ExprPtr& join : join_exprs_) {
     out += "  join: " + join->ToString() + "\n";
-  }
-  if (!planned_join_order_.empty()) {
-    out += "  planned join order:";
-    for (size_t v : planned_join_order_) {
-      out += " " + scope_.var(v).name;
-    }
-    out += "\n";
   }
   for (const IndexJoinPath& path : index_join_paths_) {
     out += "  index probe available: " + scope_.var(path.var).name + "." +

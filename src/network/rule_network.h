@@ -38,11 +38,6 @@ enum class AlphaKind : uint8_t {
 
 const char* AlphaKindToString(AlphaKind kind);
 
-/// Minimum stored-α entry count before a join's scan fallback builds a
-/// columnar prefilter mask; below this the per-scan kernel setup costs more
-/// than it saves. The adaptive optimizer prices scans at the same gate.
-inline constexpr size_t kColumnarPrefilterMinEntries = 16;
-
 /// Construction-time description of one α-memory node, produced by the rule
 /// compiler from the rule's condition.
 struct AlphaSpec {
@@ -213,9 +208,6 @@ class RuleNetwork {
   void set_columnar_exec(bool on) { columnar_exec_ = on; }
 
   const std::string& rule_name() const { return rule_name_; }
-  /// The P-node's synthetic relation id — reused across re-plans so a
-  /// rebuilt network's conflict set stays addressable by the same id.
-  uint32_t pnode_relation_id() const { return pnode_relation_id_; }
   const Scope& scope() const { return scope_; }
   size_t num_vars() const { return alphas_.size(); }
   AlphaMemory* alpha(size_t i) { return alphas_[i].get(); }
@@ -253,8 +245,7 @@ class RuleNetwork {
                                  uint64_t first_epoch, uint32_t* failed_token);
 
   /// Activation order of the rule: the second key of its P-node's match
-  /// stamps. Assigned by RuleManager::ActivateRule and carried across
-  /// re-plans, so rebuilding a network does not reorder recency ties.
+  /// stamps. Assigned by RuleManager::ActivateRule.
   uint64_t ordinal() const { return ordinal_; }
   void set_ordinal(uint64_t ordinal) { ordinal_ = ordinal; }
 
@@ -291,35 +282,8 @@ class RuleNetwork {
   /// (rule activation; §6 "priming"). Dynamic memories stay empty; the
   /// P-node is loaded only when no dynamic memory exists (event/transition
   /// bindings cannot predate activation), stamped with `pnode_epoch`
-  /// (DiscriminationNetwork::AdvanceEpoch). Re-planning passes std::nullopt:
-  /// α/β state is rebuilt from the heap relations but the history-dependent
-  /// conflict set is carried over from the old network via
-  /// PNode::CaptureState/RestoreState instead of recomputed.
-  [[nodiscard]] Status Prime(Optimizer* optimizer,
-                             std::optional<uint64_t> pnode_epoch);
-
-  // --- Live match statistics (adaptive optimizer inputs) ---
-
-  /// Lifetime token-arrival counters, maintained by Arrive. Carried across
-  /// re-plans by RuleManager::ReplanRule so the cost model keeps its
-  /// history.
-  struct MatchStats {
-    uint64_t arrivals = 0;
-    uint64_t plus_tokens = 0;
-    uint64_t minus_tokens = 0;
-    std::vector<uint64_t> var_arrivals;  // indexed by α ordinal
-  };
-  const MatchStats& match_stats() const { return match_stats_; }
-  void set_match_stats(MatchStats stats) { match_stats_ = std::move(stats); }
-
-  /// Installs an explicit TREAT probe order (a permutation of the variable
-  /// ordinals); ExtendJoin binds the earliest unbound entry first. Empty
-  /// restores the built-in connected-then-smallest heuristic. Ignored under
-  /// Rete (β-chain order is fixed by the variable order).
-  [[nodiscard]] Status set_planned_join_order(std::vector<size_t> order);
-  const std::vector<size_t>& planned_join_order() const {
-    return planned_join_order_;
-  }
+  /// (DiscriminationNetwork::AdvanceEpoch).
+  [[nodiscard]] Status Prime(Optimizer* optimizer, uint64_t pnode_epoch);
 
   /// The backend actually in use (kRete requests fall back to kTreat for
   /// rules with dynamic memories).
@@ -505,10 +469,6 @@ class RuleNetwork {
   bool dirty_dynamic_ = false;
   bool scheduled_ = false;
   LastTrigger last_trigger_;
-  MatchStats match_stats_;
-  /// Explicit TREAT probe order (empty = heuristic); see
-  /// set_planned_join_order.
-  std::vector<size_t> planned_join_order_;
 };
 
 }  // namespace ariel

@@ -345,19 +345,6 @@ std::string SelectionNetwork::DescribeRule(const RuleNetwork* rule) const {
   return os.str();
 }
 
-double SelectionNetwork::ObservedSelectivity(const RuleNetwork* rule,
-                                             size_t alpha_ordinal) const {
-  for (const auto& [relation_id, per_rel] : relations_) {
-    for (const auto& [id, node] : per_rel.nodes) {
-      if (node.rule != rule || node.alpha_ordinal != alpha_ordinal) continue;
-      if (node.tested == 0) return -1.0;
-      return static_cast<double>(node.matched) /
-             static_cast<double>(node.tested);
-    }
-  }
-  return -1.0;
-}
-
 std::vector<std::string> SelectionNetwork::AuditIndexes() const {
   std::vector<std::string> problems;
   for (const auto& [rel_id, per] : relations_) {

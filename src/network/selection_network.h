@@ -75,13 +75,6 @@ class SelectionNetwork {
   /// tested/matched counters per condition. Backs `explain rule`.
   std::string DescribeRule(const RuleNetwork* rule) const;
 
-  /// Observed admit fraction (matched/tested) of one rule condition's
-  /// selection predicate, from the lifetime counters. Returns -1 when the
-  /// condition is unregistered or has never been tested — the adaptive
-  /// optimizer falls back to materialized-fraction estimates then.
-  double ObservedSelectivity(const RuleNetwork* rule,
-                             size_t alpha_ordinal) const;
-
   /// Audit support: cross-checks every attribute interval index against a
   /// brute-force scan (IntervalSkipList::AuditStabConsistency) and verifies
   /// the per-relation bookkeeping (each registered condition is either in

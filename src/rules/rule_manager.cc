@@ -71,92 +71,6 @@ Status RuleManager::ActivateRule(const std::string& raw_name) {
   return Status::OK();
 }
 
-Status RuleManager::ReplanRule(const std::string& raw_name,
-                               const NetworkStrategy& strategy) {
-  std::string name = ToLower(raw_name);
-  auto it = rules_.find(name);
-  if (it == rules_.end()) {
-    return Status::NotFound("rule \"" + name + "\" does not exist");
-  }
-  Rule* rule = it->second.get();
-  if (!rule->active || rule->network == nullptr) {
-    return Status::InvalidArgument("rule \"" + name + "\" is not active");
-  }
-  RuleNetwork* old = rule->network.get();
-
-  // Compile under the policy the strategy's α-choice maps onto, then
-  // override pattern kinds with the resolved per-variable split: the
-  // compiler's own cardinality estimates are static and must not override a
-  // decision made from live statistics.
-  AlphaMemoryPolicy policy;
-  switch (strategy.alpha) {
-    case NetworkStrategy::AlphaChoice::kAllStored:
-      policy.mode = AlphaMemoryPolicy::Mode::kAllStored;
-      break;
-    case NetworkStrategy::AlphaChoice::kAllVirtual:
-      policy.mode = AlphaMemoryPolicy::Mode::kAllVirtual;
-      break;
-    case NetworkStrategy::AlphaChoice::kThreshold:
-      policy.mode = AlphaMemoryPolicy::Mode::kAdaptive;
-      policy.virtual_threshold = strategy.virtual_threshold;
-      break;
-  }
-  ARIEL_ASSIGN_OR_RETURN(CompiledRule compiled,
-                         CompileRule(*rule->definition, *catalog_, policy));
-  if (strategy.alpha_stored.size() == compiled.alphas.size()) {
-    for (size_t i = 0; i < compiled.alphas.size(); ++i) {
-      AlphaSpec& spec = compiled.alphas[i];
-      if (spec.kind != AlphaKind::kStored &&
-          spec.kind != AlphaKind::kVirtual) {
-        continue;  // dynamic/simple kinds are not replannable
-      }
-      spec.kind = strategy.alpha_stored[i] != 0 ? AlphaKind::kStored
-                                                : AlphaKind::kVirtual;
-    }
-  }
-
-  // The P-node's relation id is reused so the conflict set stays
-  // addressable under the same identity across the swap.
-  auto network = std::make_unique<RuleNetwork>(
-      name, old->pnode_relation_id(), std::move(compiled.alphas),
-      std::move(compiled.join_conjuncts), strategy.backend);
-  network->set_columnar_exec(columnar_exec_);
-  ARIEL_RETURN_NOT_OK(network->Init());
-  if (network->backend() == JoinBackend::kTreat) {
-    ARIEL_RETURN_NOT_OK(
-        network->set_planned_join_order(strategy.join_order));
-  }
-
-  // Rebuild α/β state from the heap relations, then carry over the
-  // history-dependent conflict set (drained instantiations must stay
-  // drained), the lifetime match statistics, and the ordinal that orders
-  // the rule's match stamps.
-  ARIEL_RETURN_NOT_OK(network->Prime(optimizer_, std::nullopt));
-  network->pnode()->InheritJournal(*old->pnode());
-  ARIEL_RETURN_NOT_OK(
-      network->pnode()->RestoreState(old->pnode()->CaptureState()));
-  network->set_match_stats(old->match_stats());
-  network->set_ordinal(old->ordinal());
-
-  network_->RemoveRule(old);
-  Status added = network_->AddRule(network.get());
-  if (!added.ok()) {
-    // Put the old network back so the rule keeps running on its prior
-    // shape; the failed re-plan is reported to the caller.
-    ARIEL_RETURN_NOT_OK(network_->AddRule(old));
-    return added;
-  }
-
-  rule_of_network_.erase(old);
-  rule_of_network_[network.get()] = rule;
-  rule->network = std::move(network);
-  rule->modified_action = std::move(compiled.modified_action);
-  rule->firing_buffer.reset();
-  rule->action_plans.clear();
-  ++rule->replans;
-  return Status::OK();
-}
-
 Status RuleManager::DeactivateRule(const std::string& raw_name) {
   std::string name = ToLower(raw_name);
   auto it = rules_.find(name);

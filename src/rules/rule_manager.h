@@ -10,7 +10,6 @@
 #include "catalog/catalog.h"
 #include "exec/executor.h"
 #include "exec/optimizer.h"
-#include "network/adaptive_optimizer.h"
 #include "network/discrimination_network.h"
 #include "network/rule_network.h"
 #include "rules/rule_compiler.h"
@@ -43,8 +42,6 @@ struct Rule {
   std::vector<CachedPlan> action_plans;
 
   uint64_t times_fired = 0;
-  /// Times the adaptive optimizer rebuilt this rule's network.
-  uint64_t replans = 0;
 };
 
 /// The rule catalog plus lifecycle management.
@@ -64,17 +61,6 @@ class RuleManager {
 
   /// Compiles, primes and registers the rule's network.
   [[nodiscard]] Status ActivateRule(const std::string& name);
-
-  /// Rebuilds an active rule's network under `strategy` (the adaptive
-  /// optimizer's re-plan entry point; also driven directly by the
-  /// equivalence tests). α/β state is re-primed from the heap relations
-  /// while the history-dependent conflict set, the live match statistics and
-  /// the rule's stamp ordinal are carried over, so engine state is
-  /// equivalent to having run the new shape all along. Must be called at
-  /// quiescence (no transition, no deferred batch tokens); the caller
-  /// re-audits afterwards.
-  [[nodiscard]] Status ReplanRule(const std::string& name,
-                                  const NetworkStrategy& strategy);
 
   /// Unregisters the network; the definition stays installed.
   [[nodiscard]] Status DeactivateRule(const std::string& name);
@@ -127,7 +113,7 @@ class RuleManager {
   void set_join_backend(JoinBackend backend) { join_backend_ = backend; }
 
   /// Columnar candidate prefilters on stored-α scan fallbacks for
-  /// subsequently activated and re-planned rules (mirrors
+  /// subsequently activated rules (mirrors
   /// OptimizerOptions.columnar_exec).
   void set_columnar_exec(bool on) { columnar_exec_ = on; }
 

@@ -402,14 +402,6 @@ EngineMetrics::EngineMetrics()
           registry.RegisterCounter("txn_ignored_action_errors")),
       txn_active_savepoints(
           registry.RegisterGauge("txn_active_savepoints")),
-      adaptive_evaluations(registry.RegisterCounter("adaptive_evaluations")),
-      adaptive_replans(registry.RegisterCounter("adaptive_replans")),
-      adaptive_backend_switches(
-          registry.RegisterCounter("adaptive_backend_switches")),
-      adaptive_alpha_switches(
-          registry.RegisterCounter("adaptive_alpha_switches")),
-      adaptive_join_order_switches(
-          registry.RegisterCounter("adaptive_join_order_switches")),
       token_process_ns(registry.RegisterHistogram("token_process_ns")),
       rule_firing_ns(registry.RegisterHistogram("rule_firing_ns")),
       batch_tokens_per_flush(
@@ -418,8 +410,7 @@ EngineMetrics::EngineMetrics()
       batch_match_ns(registry.RegisterHistogram("batch_match_ns")),
       batch_merge_ns(registry.RegisterHistogram("batch_merge_ns")),
       txn_rollback_ns(registry.RegisterHistogram("txn_rollback_ns")),
-      server_command_ns(registry.RegisterHistogram("server_command_ns")),
-      adaptive_replan_ns(registry.RegisterHistogram("adaptive_replan_ns")) {}
+      server_command_ns(registry.RegisterHistogram("server_command_ns")) {}
 
 EngineMetrics& Metrics() {
   // Intentionally leaked: handles embedded across the engine hold raw cell

@@ -397,14 +397,6 @@ struct EngineMetrics {
   Counter txn_ignored_action_errors;  // action errors dropped by =ignore
   Gauge txn_active_savepoints;  // open transaction frames right now
 
-  // Adaptive network optimizer (src/network/adaptive_optimizer). All zero
-  // unless DatabaseOptions.adaptive_optimize / ARIEL_ADAPTIVE is on.
-  Counter adaptive_evaluations;       // per-rule cost evaluations run
-  Counter adaptive_replans;           // networks actually rebuilt
-  Counter adaptive_backend_switches;  // re-plans that flipped TREAT↔Rete
-  Counter adaptive_alpha_switches;    // re-plans changing stored/virtual α
-  Counter adaptive_join_order_switches;  // re-plans changing the probe order
-
   Histogram token_process_ns;  // DiscriminationNetwork::ProcessToken
   Histogram rule_firing_ns;    // RuleExecutionMonitor::FireRule
   Histogram batch_tokens_per_flush;  // tokens carried by each flushed batch
@@ -416,8 +408,6 @@ struct EngineMetrics {
                               // rollback
   Histogram server_command_ns;  // per-request execute+render (p50/p99 in
                                 // `show stats` via the registry render)
-  Histogram adaptive_replan_ns;  // full re-plan latency (compile → rebuild
-                                 // → state carry-over → audit)
 
   FiringTraceRing firing_trace;
 

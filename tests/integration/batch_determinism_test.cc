@@ -210,7 +210,17 @@ TEST(BatchOptionsTest, EnvVarsOverrideDefaults) {
     EXPECT_EQ(db.options().batch_tokens, 0u);  // malformed env is ignored
     EXPECT_EQ(db.options().match_threads, 3u);
   }
+  // A sign or whitespace is malformed too ("-1" must not wrap to SIZE_MAX).
+  for (const char* value : {"-1", " 5", "+5", "5 "}) {
+    SCOPED_TRACE(value);
+    setenv("ARIEL_BATCH_TOKENS", value, 1);
+    setenv("ARIEL_FAILPOINT", value, 1);
+    Database db;
+    EXPECT_EQ(db.options().batch_tokens, 0u);
+    EXPECT_EQ(db.options().failpoint_at, 0u);
+  }
   unsetenv("ARIEL_BATCH_TOKENS");
+  unsetenv("ARIEL_FAILPOINT");
 }
 
 INSTANTIATE_TEST_SUITE_P(

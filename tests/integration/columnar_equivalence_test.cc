@@ -5,10 +5,9 @@
 // scan, join) plus a rule cascade over banded joins — under
 // {columnar on, off} × {columnar_min_rows 0, 1024} and asserts the
 // ResultSets and the full DebugDumpState are byte-identical to the pure
-// row path (OptimizerOptions.columnar_exec off). The same grid under the
-// adaptive optimizer checks that its shape choices ignore the columnar
-// configuration. Separate tests plant column-cache corruption and check
-// the NetworkAuditor reports kColumnCacheIncoherent.
+// row path (OptimizerOptions.columnar_exec off). Separate tests plant
+// column-cache corruption and check the NetworkAuditor reports
+// kColumnCacheIncoherent.
 
 #include <string>
 #include <vector>
@@ -35,14 +34,13 @@ struct Snapshot {
   std::string scan_error;  // message of the deliberately erroring query
 };
 
-Snapshot RunScenario(bool columnar, size_t min_rows, bool adaptive = false) {
+Snapshot RunScenario(bool columnar, size_t min_rows) {
   // The firing-trace ring is process-global and cumulative; clear it so
   // DebugDumpState's trace section only covers this scenario's firings.
   Metrics().firing_trace.Clear();
   DatabaseOptions options;
   options.optimizer.columnar_exec = columnar;
   options.optimizer.columnar_min_rows = min_rows;
-  options.adaptive_optimize = adaptive;
   options.alpha_policy.mode = AlphaMemoryPolicy::Mode::kAllStored;
   Database db(options);
   Snapshot snap;
@@ -161,24 +159,6 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param.name;
     });
 
-// The adaptive optimizer prices scans at the network's own prefilter gate,
-// so the shapes it picks — and with them the whole dump — do not depend on
-// the columnar switch or the executor's columnar_min_rows.
-TEST(AdaptiveColumnarEquivalenceTest, ShapesIgnoreColumnarConfiguration) {
-  const Snapshot want =
-      RunScenario(/*columnar=*/false, /*min_rows=*/1024, /*adaptive=*/true);
-  for (bool columnar : {false, true}) {
-    for (size_t min_rows : {size_t{0}, size_t{1024}}) {
-      SCOPED_TRACE(std::string(columnar ? "col" : "row") + "_batch" +
-                   std::to_string(min_rows));
-      Snapshot snap = RunScenario(columnar, min_rows, /*adaptive=*/true);
-      EXPECT_EQ(snap.query_results, want.query_results);
-      EXPECT_EQ(snap.scan_error, want.scan_error);
-      EXPECT_EQ(snap.dump, want.dump) << "DebugDumpState drifted";
-    }
-  }
-}
-
 TEST(ColumnarAuditTest, PlantedHeapCacheCorruptionIsReported) {
   DatabaseOptions options;
   options.optimizer.columnar_min_rows = 0;
@@ -233,9 +213,7 @@ TEST(ColumnarAuditTest, PlantedAlphaCacheCorruptionIsReported) {
   Rule* rule = db.rules().GetRule("band");
   ASSERT_NE(rule, nullptr);
   ASSERT_TRUE(rule->active);
-  // Corrupt the cached batch of a memory that materializes entries. The
-  // adaptive optimizer may have re-planned either memory to virtual, whose
-  // view is empty and cannot be corrupted.
+  // Corrupt the cached batch of a memory that materializes entries.
   AlphaMemory* stored_alpha = nullptr;
   for (size_t i = 0; i < rule->network->num_vars(); ++i) {
     AlphaMemory* alpha = rule->network->alpha(i);

@@ -1,6 +1,7 @@
-// `explain rule` surface (ISSUE 6 satellite): clean Status error for
-// unknown rule names, case-insensitive lookup, inactive rules, and the
-// analysis section (triggers / triggered-by / warnings).
+// `explain rule` surface: clean Status error for unknown rule names,
+// case-insensitive lookup, inactive rules, the analysis section
+// (triggers / triggered-by / warnings), and the network shape chosen at
+// activation (join backend and α-memory kinds).
 
 #include <gtest/gtest.h>
 
@@ -73,6 +74,61 @@ TEST_F(ExplainRuleTest, InactiveRuleStillExplains) {
       << result->message;
   EXPECT_NE(result->message.find("triggered by:"), std::string::npos)
       << result->message;
+}
+
+// A rule's network keeps the shape chosen at activation: the join dump
+// names the configured backend and every α-memory's stored/virtual kind,
+// and `show stats` reports no run-time re-planner.
+TEST(ExplainRuleShapeTest, ReportsBackendAndAlphaKinds) {
+  struct Shape {
+    JoinBackend backend;
+    AlphaMemoryPolicy::Mode alpha;
+    const char* want_backend;
+    const char* want_kind;
+    const char* other_kind;
+  };
+  for (const Shape& shape :
+       {Shape{JoinBackend::kTreat, AlphaMemoryPolicy::Mode::kAllStored,
+              "[backend: treat]", "[stored]", "[virtual]"},
+        Shape{JoinBackend::kRete, AlphaMemoryPolicy::Mode::kAllVirtual,
+              "[backend: rete]", "[virtual]", "[stored]"}}) {
+    SCOPED_TRACE(std::string(shape.want_backend) + shape.want_kind);
+    DatabaseOptions options;
+    options.join_backend = shape.backend;
+    options.alpha_policy.mode = shape.alpha;
+    Database db(options);
+    ASSERT_OK(db.Execute("create emp (sal = int, dno = int)"));
+    ASSERT_OK(db.Execute("create dept (dno = int, lo = int)"));
+    ASSERT_OK(db.Execute("create sink (x = int)"));
+    ASSERT_OK(db.Execute("define rule watch if emp.sal > 10 and "
+                         "emp.dno = dept.dno then append to sink (x = 1)"));
+    ASSERT_OK(db.Execute("append dept (dno = 1, lo = 0)"));
+    for (int i = 0; i < 6; ++i) {
+      ASSERT_OK(db.Execute("append emp (sal = " + std::to_string(20 + i) +
+                           ", dno = 1)"));
+    }
+
+    auto explain = db.Execute("explain rule watch");
+    ASSERT_OK(explain);
+    const std::string& message = explain->message;
+    EXPECT_NE(message.find(shape.want_backend), std::string::npos) << message;
+    EXPECT_NE(message.find("alpha(emp in emp) " + std::string(shape.want_kind)),
+              std::string::npos)
+        << message;
+    EXPECT_NE(
+        message.find("alpha(dept in dept) " + std::string(shape.want_kind)),
+        std::string::npos)
+        << message;
+    EXPECT_EQ(message.find(shape.other_kind), std::string::npos) << message;
+    EXPECT_EQ(message.find("strategy:"), std::string::npos) << message;
+
+    auto stats = db.Execute("show stats");
+    ASSERT_OK(stats);
+    EXPECT_EQ(stats->message.find("adaptive"), std::string::npos)
+        << stats->message;
+    EXPECT_EQ(stats->message.find("replan"), std::string::npos)
+        << stats->message;
+  }
 }
 
 }  // namespace

@@ -18,7 +18,6 @@
 #include "test_util.h"
 
 #include "ariel/database.h"
-#include "network/adaptive_optimizer.h"
 #include "util/metrics.h"
 
 namespace ariel {
@@ -79,45 +78,6 @@ TEST_F(TxnJournalTest, RuleActivatedInsideAbortedTransactionKeepsItsPNode) {
             "  pnode (0 instantiations, 3 lifetime)\n"
             "firing trace (1 recorded)\n"
             "  r <- + token, relation 1, tuple (1:1) (1 instantiations)\n"
-            "pending alerts: 0\n"
-            "txn: open_frames=0 undo_records=0\n");
-}
-
-// A network rebuilt inside a transaction continues the old P-node's
-// journal: its first write after the re-plan still saves the state the
-// abort must return to.
-TEST_F(TxnJournalTest, ReplannedRuleIsRestoredByAbort) {
-  Database db;
-  Exec(db, "create emp (name = string, sal = int, dno = int)");
-  Exec(db, "create dept (dno = int, budget = int)");
-  Exec(db, "create log (msg = string)");
-  Exec(db, "define rule over if emp.dno = dept.dno and "
-           "emp.sal > dept.budget then append to log (msg = emp.name)");
-  Exec(db, "append dept (dno = 1, budget = 50)");
-  Exec(db, "append emp (name = \"a\", sal = 60, dno = 1)");
-  Exec(db, "begin");
-  NetworkStrategy rete;
-  rete.backend = JoinBackend::kRete;
-  ASSERT_OK(db.rules().ReplanRule("over", rete));
-  Exec(db, "append emp (name = \"b\", sal = 70, dno = 1)");
-  Exec(db, "abort");
-  EXPECT_EQ(db.DebugDumpState(),
-            "relation dept (1 tuples)\n"
-            "  (2:0) [1, 50]\n"
-            "relation emp (1 tuples)\n"
-            "  (1:0) [\"a\", 60, 1]\n"
-            "relation log (1 tuples)\n"
-            "  (3:0) [\"a\"]\n"
-            "rule over (active, fired 1)\n"
-            "  alpha[0] (1 entries)\n"
-            "    (1:0) [\"a\", 60, 1]\n"
-            "  alpha[1] (1 entries)\n"
-            "    (2:0) [1, 50]\n"
-            "  beta[0] (0 rows)\n"
-            "  beta[1] (0 rows)\n"
-            "  pnode (0 instantiations, 1 lifetime)\n"
-            "firing trace (1 recorded)\n"
-            "  over <- + token, relation 1, tuple (1:0) (1 instantiations)\n"
             "pending alerts: 0\n"
             "txn: open_frames=0 undo_records=0\n");
 }
