@@ -6,10 +6,17 @@
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "util/metrics.h"
+
+// The CMake build type the bench was compiled under; bench/CMakeLists.txt
+// defines it for every bench target.
+#ifndef ARIEL_BUILD_TYPE
+#define ARIEL_BUILD_TYPE "unknown"
+#endif
 
 namespace ariel::bench {
 
@@ -22,8 +29,8 @@ inline bool SmokeMode() {
 }
 
 /// Snapshots the engine metrics registry on construction and writes
-/// BENCH_<name>.json on destruction with the bench's wall time and the
-/// counter deltas it caused. Output directory: $ARIEL_BENCH_JSON_DIR if
+/// BENCH_<name>.json on destruction with the host shape (`nproc`, the
+/// build type), the bench's wall time and the counter deltas it caused. Output directory: $ARIEL_BENCH_JSON_DIR if
 /// set, else the working directory.
 ///
 ///   int main() {
@@ -63,6 +70,9 @@ class BenchReporter {
     }
     std::fprintf(f, "{\n  \"bench\": \"%s\",\n", name_.c_str());
     std::fprintf(f, "  \"schema_version\": 1,\n");
+    std::fprintf(f, "  \"nproc\": %u,\n",
+                 std::thread::hardware_concurrency());
+    std::fprintf(f, "  \"build_type\": \"%s\",\n", ARIEL_BUILD_TYPE);
     std::fprintf(f, "  \"wall_time_seconds\": %.6f,\n", wall_seconds);
     std::fprintf(f, "  \"results\": {\n");
     for (size_t i = 0; i < results_.size(); ++i) {

@@ -7,6 +7,8 @@ Usage: check_bench_json.py FILE [FILE...]
 Each report must be valid JSON with:
   - "bench": non-empty string matching the BENCH_<name>.json filename
   - "schema_version": integer
+  - "nproc": positive integer (host shape)
+  - "build_type": non-empty string (the CMake build type)
   - "wall_time_seconds": non-negative number
   - "counters": object with at least MIN_COUNTERS integer entries
   - "results": numeric headline values; optional in general but required
@@ -71,6 +73,14 @@ def check(path: str) -> None:
     if not isinstance(report.get("schema_version"), int):
         fail(path, '"schema_version" missing or not an integer')
 
+    nproc = report.get("nproc")
+    if not isinstance(nproc, int) or isinstance(nproc, bool) or nproc < 1:
+        fail(path, '"nproc" missing or not a positive integer')
+
+    build_type = report.get("build_type")
+    if not isinstance(build_type, str) or not build_type:
+        fail(path, '"build_type" missing or not a non-empty string')
+
     wall = report.get("wall_time_seconds")
     if not isinstance(wall, (int, float)) or isinstance(wall, bool) or wall < 0:
         fail(path, '"wall_time_seconds" missing or not a non-negative number')
@@ -99,7 +109,8 @@ def check(path: str) -> None:
              f"only {len(counters)} counters reported (need >= {MIN_COUNTERS})")
 
     print(f"check_bench_json: {path}: ok "
-          f"({len(counters)} counters, {wall:.3f}s)")
+          f"({len(counters)} counters, {wall:.3f}s, nproc {nproc}, "
+          f"{build_type})")
 
 
 def check_experiments(root: str) -> int:

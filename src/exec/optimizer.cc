@@ -264,32 +264,11 @@ Result<Plan> Optimizer::BuildPlan(const std::vector<PlanVar>& vars,
     }
   }
 
-  // Wraps `child` in a FilterNode. When the predicate touches exactly one
-  // variable and vector-compiles, the filter gets (relation, ordinal,
-  // VectorPredicate) so it can classify rows by tuple id against one
-  // column-view mask instead of re-evaluating the predicate per row.
   auto make_filter = [&](PlanNodePtr child,
                          const Expr& expr) -> Result<PlanNodePtr> {
     ARIEL_ASSIGN_OR_RETURN(CompiledExprPtr pred, CompileExpr(expr, scope));
-    const HeapRelation* vrel = nullptr;
-    size_t vvar = 0;
-    VectorPredicatePtr vp;
-    if (options_.columnar_exec) {
-      std::vector<std::string> names = CollectTupleVars(expr);
-      int idx = names.size() == 1 ? scope.IndexOf(names[0]) : -1;
-      if (idx >= 0) {
-        size_t ord = static_cast<size_t>(idx);
-        vp = VectorPredicate::Compile(expr, scope.var(ord).name,
-                                      vars[ord].relation->schema());
-        if (vp != nullptr) {
-          vrel = vars[ord].relation;
-          vvar = ord;
-        }
-      }
-    }
     return PlanNodePtr(std::make_unique<FilterNode>(
-        std::move(child), std::move(pred), expr.ToString(), vrel, vvar,
-        std::move(vp), options_.columnar_min_rows));
+        std::move(child), std::move(pred), expr.ToString()));
   };
 
   // --- Greedy join ordering ---

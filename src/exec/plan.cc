@@ -1,6 +1,7 @@
 #include "exec/plan.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "util/metrics.h"
 
@@ -33,12 +34,17 @@ Status SeqScanNode::Execute(const RowConsumer& consume) {
   // iteration in the exec kernels.
   std::vector<TupleId> tids = relation_->AllTupleIds();  // ariel-lint: allow(heap-iteration)
   Metrics().tuples_scanned.Increment(tids.size());
+  return ScanRows(tids, 0, consume);
+}
+
+Status SeqScanNode::ScanRows(const std::vector<TupleId>& tids, size_t from,
+                             const RowConsumer& consume) {
   Row row(num_vars_);
-  for (TupleId tid : tids) {
-    const Tuple* tuple = relation_->Get(tid);
+  for (size_t i = from; i < tids.size(); ++i) {
+    const Tuple* tuple = relation_->Get(tids[i]);
     if (tuple == nullptr) continue;  // deleted mid-scan
     Metrics().values_copied.Increment(tuple->size());
-    row.Set(var_, *tuple, tid);
+    row.Set(var_, *tuple, tids[i]);
     if (filter_) {
       ARIEL_ASSIGN_OR_RETURN(bool keep, filter_->EvalPredicate(row));
       if (!keep) continue;
@@ -52,33 +58,24 @@ Status SeqScanNode::ExecuteColumnar(const RowConsumer& consume) {
   std::shared_ptr<const ColumnBatch> batch = relation_->ColumnView();
   const uint64_t version = batch->source_version();
   const std::vector<TupleId>& tids = batch->tids();
-  Metrics().tuples_scanned.Increment(tids.size());
+  const size_t n = tids.size();
+  Metrics().tuples_scanned.Increment(n);
   Metrics().columnar_scans.Increment();
-  Metrics().columnar_scan_rows.Increment(tids.size());
+  Metrics().columnar_scan_rows.Increment(n);
   std::vector<uint8_t> mask;
   vector_filter_->EvalMask(*batch, &mask);
+  const uint8_t* m = mask.data();
   Row row(num_vars_);
-  for (size_t i = 0; i < tids.size(); ++i) {
-    if (relation_->version() != version) {
-      // A consumer mutated the relation mid-scan: the mask no longer
-      // reflects the heap. Finish the remaining positions on the row path
-      // (same materialized tid list, full residual re-evaluated per row —
-      // exactly what the row fallback would have done from here).
-      Metrics().columnar_row_fallbacks.Increment();
-      for (size_t j = i; j < tids.size(); ++j) {
-        const Tuple* tuple = relation_->Get(tids[j]);
-        if (tuple == nullptr) continue;
-        Metrics().values_copied.Increment(tuple->size());
-        row.Set(var_, *tuple, tids[j]);
-        if (filter_) {
-          ARIEL_ASSIGN_OR_RETURN(bool keep, filter_->EvalPredicate(row));
-          if (!keep) continue;
-        }
-        ARIEL_RETURN_NOT_OK(consume(row));
+  for (size_t i = 0; i < n; ++i) {
+    if ((i & 7) == 0 && i + 8 <= n) {
+      uint64_t eight = 0;
+      std::memcpy(&eight, m + i, sizeof eight);
+      if (eight == 0) {  // eight rejected rows at once
+        i += 7;
+        continue;
       }
-      return Status::OK();
     }
-    if (mask[i] == 0) continue;  // rejected without ever copying the tuple
+    if (m[i] == 0) continue;  // rejected without ever copying the tuple
     const Tuple* tuple = relation_->Get(tids[i]);
     if (tuple == nullptr) continue;
     Metrics().values_copied.Increment(tuple->size());
@@ -88,6 +85,14 @@ Status SeqScanNode::ExecuteColumnar(const RowConsumer& consume) {
       if (!keep) continue;
     }
     ARIEL_RETURN_NOT_OK(consume(row));
+    if (relation_->version() != version && i + 1 < n) {
+      // The consumer mutated the relation: the mask no longer reflects the
+      // heap. Finish the remaining positions on the row path (same
+      // materialized tid list, full residual re-evaluated per row —
+      // exactly what the row fallback would have done from here).
+      Metrics().columnar_row_fallbacks.Increment();
+      return ScanRows(tids, i + 1, consume);
+    }
   }
   return Status::OK();
 }
@@ -233,47 +238,14 @@ std::string SortMergeJoinNode::Label() const {
 }
 
 FilterNode::FilterNode(PlanNodePtr child, CompiledExprPtr predicate,
-                       std::string predicate_text,
-                       const HeapRelation* vector_relation, size_t vector_var,
-                       VectorPredicatePtr vector_predicate,
-                       size_t columnar_min_rows)
+                       std::string predicate_text)
     : predicate_(std::move(predicate)),
-      predicate_text_(std::move(predicate_text)),
-      vector_relation_(vector_relation),
-      vector_var_(vector_var),
-      vector_predicate_(std::move(vector_predicate)),
-      columnar_min_rows_(columnar_min_rows) {
+      predicate_text_(std::move(predicate_text)) {
   children_.push_back(std::move(child));
 }
 
 Status FilterNode::Execute(const RowConsumer& consume) {
-  std::shared_ptr<const ColumnBatch> batch;
-  uint64_t version = 0;
-  std::vector<uint8_t> mask;
-  std::unordered_map<uint32_t, size_t> row_of_slot;
-  if (vector_predicate_ != nullptr && vector_relation_ != nullptr &&
-      vector_relation_->size() >= columnar_min_rows_) {
-    // Build the mask before the child produces any row: every row copied
-    // under an unchanged relation version then matches the batch contents.
-    batch = vector_relation_->ColumnView();
-    version = batch->source_version();
-    vector_predicate_->EvalMask(*batch, &mask);
-    row_of_slot.reserve(batch->num_rows());
-    for (size_t i = 0; i < batch->num_rows(); ++i) {
-      row_of_slot.emplace(batch->tids()[i].slot, i);
-    }
-    Metrics().columnar_scans.Increment();
-    Metrics().columnar_scan_rows.Increment(batch->num_rows());
-  }
   return children_[0]->Execute([&](const Row& row) -> Status {
-    if (batch != nullptr && vector_relation_->version() == version &&
-        row.tids[vector_var_].relation_id == vector_relation_->id()) {
-      auto it = row_of_slot.find(row.tids[vector_var_].slot);
-      if (it != row_of_slot.end()) {
-        if (mask[it->second] == 0) return Status::OK();
-        return consume(row);
-      }
-    }
     ARIEL_ASSIGN_OR_RETURN(bool keep, predicate_->EvalPredicate(row));
     if (keep) return consume(row);
     return Status::OK();

@@ -92,6 +92,10 @@ class SeqScanNode : public PlanNode {
 
  private:
   [[nodiscard]] Status ExecuteColumnar(const RowConsumer& consume);
+  /// The row path over tids[from..]: copies each live tuple, applies the
+  /// full filter, emits.
+  [[nodiscard]] Status ScanRows(const std::vector<TupleId>& tids, size_t from,
+                                const RowConsumer& consume);
 
   const HeapRelation* relation_;
   size_t var_;
@@ -165,24 +169,14 @@ class SortMergeJoinNode : public PlanNode {
   std::string predicate_text_;
 };
 
-/// Applies a predicate to child rows.
-///
-/// For a single-variable vectorizable predicate the optimizer additionally
-/// supplies (relation, var ordinal, VectorPredicate): Execute then computes
-/// one mask over the relation's column view up front and classifies each
-/// child row by its tuple id instead of re-evaluating the predicate. The
-/// mask is trusted only while the relation's version matches the batch —
-/// the batch is built before the child starts producing rows, so every row
-/// copied during this Execute under an unchanged version agrees with it;
-/// any version bump drops to per-row evaluation.
+/// Applies a predicate to child rows. The optimizer pushes every
+/// single-variable conjunct into its variable's scan, so a filter only ever
+/// carries multi-variable or constant conjuncts, which the row path
+/// evaluates.
 class FilterNode : public PlanNode {
  public:
   FilterNode(PlanNodePtr child, CompiledExprPtr predicate,
-             std::string predicate_text,
-             const HeapRelation* vector_relation = nullptr,
-             size_t vector_var = 0,
-             VectorPredicatePtr vector_predicate = nullptr,
-             size_t columnar_min_rows = 0);
+             std::string predicate_text);
 
   [[nodiscard]] Status Execute(const RowConsumer& consume) override;
   std::string Label() const override;
@@ -190,10 +184,6 @@ class FilterNode : public PlanNode {
  private:
   CompiledExprPtr predicate_;
   std::string predicate_text_;
-  const HeapRelation* vector_relation_;  // null = always row path
-  size_t vector_var_;
-  VectorPredicatePtr vector_predicate_;
-  size_t columnar_min_rows_;
 };
 
 /// A complete physical plan: the operator tree plus the variable scope its

@@ -1,12 +1,17 @@
 #include "exec/vector_kernels.h"
 
+#include <algorithm>
+#include <cstring>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include "util/string_util.h"
 
 namespace ariel {
 namespace {
+
+constexpr uint64_t kAllValid = ~uint64_t{0};
 
 /// Mirrors the TypeRank lattice inside Value::Compare: null < bool <
 /// numeric < string (int and float share a rank and compare numerically).
@@ -21,14 +26,6 @@ int TypeRankOf(DataType t) {
   return 4;
 }
 
-int CompareDoubles(double a, double b) {
-  if (a < b) return -1;
-  if (a > b) return 1;
-  return 0;
-}
-
-int Sign(int cmp) { return cmp < 0 ? -1 : (cmp > 0 ? 1 : 0); }
-
 bool ApplyOp(BinaryOp op, int cmp) {
   switch (op) {
     case BinaryOp::kEq: return cmp == 0;
@@ -41,14 +38,120 @@ bool ApplyOp(BinaryOp op, int cmp) {
   }
 }
 
-}  // namespace
+uint8_t Bit(bool b) { return b ? 1 : 0; }
 
-void AndCompareColumnScalar(const ColumnBatch& batch, size_t col,
-                            BinaryOp op, const Value& key,
-                            std::vector<uint8_t>* mask) {
+template <BinaryOp kOp>
+using OpTag = std::integral_constant<BinaryOp, kOp>;
+
+/// Calls `fn(OpTag<op>{})`, so a kernel picks its operator once per call
+/// and every row loop below is specialized for it. Returns false (without
+/// calling `fn`) when `op` is not a comparison.
+template <typename Fn>
+bool DispatchOp(BinaryOp op, Fn&& fn) {
+  switch (op) {
+    case BinaryOp::kEq: fn(OpTag<BinaryOp::kEq>{}); return true;
+    case BinaryOp::kNe: fn(OpTag<BinaryOp::kNe>{}); return true;
+    case BinaryOp::kLt: fn(OpTag<BinaryOp::kLt>{}); return true;
+    case BinaryOp::kLe: fn(OpTag<BinaryOp::kLe>{}); return true;
+    case BinaryOp::kGt: fn(OpTag<BinaryOp::kGt>{}); return true;
+    case BinaryOp::kGe: fn(OpTag<BinaryOp::kGe>{}); return true;
+    default: return false;
+  }
+}
+
+/// One comparison outcome from the two strict orderings of a cell against
+/// its key. Every operator is a branch-free combination of them, and this
+/// folds a NaN exactly as CompareDoubles does: neither ordering holds, so
+/// NaN compares equal to everything (kEq is !(x<k) & !(x>k)).
+template <BinaryOp kOp>
+uint8_t FromOrder(bool lt, bool gt) {
+  if constexpr (kOp == BinaryOp::kEq) return static_cast<uint8_t>(!lt & !gt);
+  if constexpr (kOp == BinaryOp::kNe) return static_cast<uint8_t>(lt | gt);
+  if constexpr (kOp == BinaryOp::kLt) return static_cast<uint8_t>(lt);
+  if constexpr (kOp == BinaryOp::kLe) return static_cast<uint8_t>(!gt);
+  if constexpr (kOp == BinaryOp::kGt) return static_cast<uint8_t>(gt);
+  return static_cast<uint8_t>(!lt);  // kGe
+}
+
+template <BinaryOp kOp, typename T, typename K>
+uint8_t CompareNumbers(T x, K k) {
+  return FromOrder<kOp>(x < k, x > k);
+}
+
+template <BinaryOp kOp>
+uint8_t CompareStrings(std::string_view x, std::string_view k) {
+  if constexpr (kOp == BinaryOp::kEq) return Bit(x == k);
+  if constexpr (kOp == BinaryOp::kNe) return Bit(x != k);
+  const int cmp = x.compare(k);
+  return FromOrder<kOp>(cmp < 0, cmp > 0);
+}
+
+/// ANDs `cell(i)` into m[i] for every row i < n, one validity word (64
+/// rows) at a time; rows whose validity bit is clear get `null_out`
+/// instead. `cell` must be pure and total: on a mixed word it also runs
+/// for null rows (reading their zero placeholder), so no loop carries a
+/// per-row branch.
+template <typename Cell>
+void AndByWord(const uint64_t* valid, size_t n, uint8_t null_out, uint8_t* m,
+               Cell cell) {
+  uint8_t out[64] = {};  // one word's outcomes, ANDed into m in a 2nd pass
+  for (size_t base = 0; base < n; base += 64) {
+    const uint64_t bits = valid[base >> 6];
+    const size_t len = std::min<size_t>(64, n - base);
+    uint8_t* mw = m + base;
+    if (bits == kAllValid) {  // a full word: bits past n are always clear
+      for (size_t j = 0; j < 64; ++j) out[j] = cell(base + j);
+      for (size_t j = 0; j < 64; ++j) mw[j] &= out[j];
+    } else if (bits == 0) {
+      if (null_out == 0) std::memset(mw, 0, len);
+    } else {
+      for (size_t j = 0; j < len; ++j) {
+        const uint8_t ok = static_cast<uint8_t>((bits >> j) & 1);
+        out[j] = static_cast<uint8_t>((cell(base + j) & ok) |
+                                      (null_out & (ok ^ 1)));
+      }
+      for (size_t j = 0; j < len; ++j) mw[j] &= out[j];
+    }
+  }
+}
+
+/// AndByWord for a cell over two columns. A null cell ranks below every
+/// value, so the outcome of a row with a null side depends only on which
+/// sides are null.
+template <typename Cell>
+void AndByWordPair(const uint64_t* valid_a, const uint64_t* valid_b, size_t n,
+                   BinaryOp op, uint8_t* m, Cell cell) {
+  const uint8_t b_null = Bit(ApplyOp(op, 1));
+  const uint8_t a_null = Bit(ApplyOp(op, -1));
+  const uint8_t both_null = Bit(ApplyOp(op, 0));
+  uint8_t out[64] = {};
+  for (size_t base = 0; base < n; base += 64) {
+    const uint64_t bits_a = valid_a[base >> 6];
+    const uint64_t bits_b = valid_b[base >> 6];
+    const size_t len = std::min<size_t>(64, n - base);
+    uint8_t* mw = m + base;
+    if ((bits_a & bits_b) == kAllValid) {
+      for (size_t j = 0; j < 64; ++j) out[j] = cell(base + j);
+      for (size_t j = 0; j < 64; ++j) mw[j] &= out[j];
+      continue;
+    }
+    for (size_t j = 0; j < len; ++j) {
+      const uint8_t a = static_cast<uint8_t>((bits_a >> j) & 1);
+      const uint8_t b = static_cast<uint8_t>((bits_b >> j) & 1);
+      mw[j] &= static_cast<uint8_t>((cell(base + j) & a & b) |
+                                    (b_null & a & (b ^ 1)) |
+                                    (a_null & (a ^ 1) & b) |
+                                    (both_null & ((a | b) ^ 1)));
+    }
+  }
+}
+
+/// AndCompareColumnScalar over a raw mask of batch.num_rows() bytes.
+void AndCompareScalar(const ColumnBatch& batch, size_t col, BinaryOp op,
+                      const Value& key, uint8_t* m) {
   const ColumnBatch::Column& c = batch.col(col);
   const size_t n = batch.num_rows();
-  std::vector<uint8_t>& m = *mask;
+  const uint64_t* valid = c.valid.data();
   const int col_rank = TypeRankOf(c.type);
   const int key_rank = TypeRankOf(key.type());
 
@@ -56,84 +159,67 @@ void AndCompareColumnScalar(const ColumnBatch& batch, size_t col,
     // The payload is never inspected: the outcome depends only on whether
     // the cell is null. (A null key also lands here — schema columns are
     // never declared null-typed, so the ranks cannot both be 0.)
-    const uint8_t valid_out =
-        ApplyOp(op, col_rank < key_rank ? -1 : 1) ? 1 : 0;
-    const uint8_t null_out = ApplyOp(op, key.is_null() ? 0 : -1) ? 1 : 0;
-    for (size_t i = 0; i < n; ++i) {
-      if (m[i]) m[i] = c.IsValid(i) ? valid_out : null_out;
-    }
+    const uint8_t valid_out = Bit(ApplyOp(op, col_rank < key_rank ? -1 : 1));
+    const uint8_t null_out = Bit(ApplyOp(op, key.is_null() ? 0 : -1));
+    AndByWord(valid, n, null_out, m, [=](size_t) { return valid_out; });
     return;
   }
 
   // Same rank: a null cell still ranks below the key.
-  const uint8_t null_out = ApplyOp(op, -1) ? 1 : 0;
-  switch (c.type) {
-    case DataType::kInt:
-      if (key.is_int()) {
-        const int64_t k = key.int_value();
-        for (size_t i = 0; i < n; ++i) {
-          if (!m[i]) continue;
-          if (!c.IsValid(i)) {
-            m[i] = null_out;
-            continue;
-          }
-          const int64_t v = c.ints[i];
-          m[i] = ApplyOp(op, v < k ? -1 : (v > k ? 1 : 0)) ? 1 : 0;
+  const uint8_t null_out = Bit(ApplyOp(op, -1));
+  const bool comparison = DispatchOp(op, [&](auto tag) {
+    constexpr BinaryOp kOp = decltype(tag)::value;
+    switch (c.type) {
+      case DataType::kInt: {
+        const int64_t* x = c.ints.data();
+        if (key.is_int()) {  // exact, never through double
+          const int64_t k = key.int_value();
+          AndByWord(valid, n, null_out, m, [=](size_t i) {
+            return CompareNumbers<kOp>(x[i], k);
+          });
+        } else {
+          const double k = key.AsDouble();
+          AndByWord(valid, n, null_out, m, [=](size_t i) {
+            return CompareNumbers<kOp>(static_cast<double>(x[i]), k);
+          });
         }
-      } else {
+        break;
+      }
+      case DataType::kFloat: {
+        const double* x = c.floats.data();
         const double k = key.AsDouble();
-        for (size_t i = 0; i < n; ++i) {
-          if (!m[i]) continue;
-          if (!c.IsValid(i)) {
-            m[i] = null_out;
-            continue;
-          }
-          m[i] = ApplyOp(op, CompareDoubles(static_cast<double>(c.ints[i]),
-                                            k))
-                     ? 1
-                     : 0;
-        }
+        AndByWord(valid, n, null_out, m,
+                  [=](size_t i) { return CompareNumbers<kOp>(x[i], k); });
+        break;
       }
-      break;
-    case DataType::kFloat: {
-      const double k = key.AsDouble();
-      for (size_t i = 0; i < n; ++i) {
-        if (!m[i]) continue;
-        if (!c.IsValid(i)) {
-          m[i] = null_out;
-          continue;
-        }
-        m[i] = ApplyOp(op, CompareDoubles(c.floats[i], k)) ? 1 : 0;
+      case DataType::kBool: {
+        const uint8_t* x = c.bools.data();
+        const uint8_t k = Bit(key.bool_value());
+        AndByWord(valid, n, null_out, m,
+                  [=](size_t i) { return CompareNumbers<kOp>(x[i], k); });
+        break;
       }
-      break;
+      case DataType::kString: {
+        const std::string_view k = key.string_value();
+        AndByWord(valid, n, null_out, m, [&](size_t i) {
+          return CompareStrings<kOp>(batch.StringAt(col, i), k);
+        });
+        break;
+      }
+      default:
+        break;
     }
-    case DataType::kBool: {
-      const int k = key.bool_value() ? 1 : 0;
-      for (size_t i = 0; i < n; ++i) {
-        if (!m[i]) continue;
-        if (!c.IsValid(i)) {
-          m[i] = null_out;
-          continue;
-        }
-        m[i] = ApplyOp(op, static_cast<int>(c.bools[i]) - k) ? 1 : 0;
-      }
-      break;
-    }
-    case DataType::kString: {
-      const std::string_view k = key.string_value();
-      for (size_t i = 0; i < n; ++i) {
-        if (!m[i]) continue;
-        if (!c.IsValid(i)) {
-          m[i] = null_out;
-          continue;
-        }
-        m[i] = ApplyOp(op, Sign(batch.StringAt(col, i).compare(k))) ? 1 : 0;
-      }
-      break;
-    }
-    default:
-      break;
-  }
+  });
+  if (!comparison) std::memset(m, 0, n);
+}
+
+}  // namespace
+
+void AndCompareColumnScalar(const ColumnBatch& batch, size_t col,
+                            BinaryOp op, const Value& key,
+                            std::vector<uint8_t>* mask) {
+  if (batch.num_rows() == 0) return;
+  AndCompareScalar(batch, col, op, key, mask->data());
 }
 
 // ---------------------------------------------------------------------------
@@ -299,85 +385,113 @@ std::unique_ptr<VPNode> CompilePredicate(const Expr& expr,
   }
 }
 
-void EvalCompareCols(const ColumnBatch& batch, const VPNode& node,
-                     std::vector<uint8_t>* mask) {
+/// ANDs `a.col <op> b.col2` into m.
+void AndCompareCols(const ColumnBatch& batch, const VPNode& node,
+                    uint8_t* m) {
   const ColumnBatch::Column& a = batch.col(node.col);
   const ColumnBatch::Column& b = batch.col(node.col2);
   const size_t n = batch.num_rows();
+  const uint64_t* va = a.valid.data();
+  const uint64_t* vb = b.valid.data();
   const int rank_a = TypeRankOf(a.type);
   const int rank_b = TypeRankOf(b.type);
-  std::vector<uint8_t>& m = *mask;
-  for (size_t i = 0; i < n; ++i) {
-    const int ra = a.IsValid(i) ? rank_a : 0;
-    const int rb = b.IsValid(i) ? rank_b : 0;
-    int cmp;
-    if (ra != rb) {
-      cmp = ra < rb ? -1 : 1;
-    } else if (ra == 0) {
-      cmp = 0;  // both null
-    } else if (a.type == DataType::kInt && b.type == DataType::kInt) {
-      cmp = a.ints[i] < b.ints[i] ? -1 : (a.ints[i] > b.ints[i] ? 1 : 0);
-    } else if (rank_a == 2) {  // mixed numerics compare as doubles
-      const double x = a.type == DataType::kInt
-                           ? static_cast<double>(a.ints[i])
-                           : a.floats[i];
-      const double y = b.type == DataType::kInt
-                           ? static_cast<double>(b.ints[i])
-                           : b.floats[i];
-      cmp = CompareDoubles(x, y);
-    } else if (a.type == DataType::kBool) {
-      cmp = static_cast<int>(a.bools[i]) - static_cast<int>(b.bools[i]);
-    } else {  // string vs string
-      cmp = Sign(batch.StringAt(node.col, i)
-                     .compare(batch.StringAt(node.col2, i)));
-    }
-    m[i] = ApplyOp(node.op, cmp) ? 1 : 0;
+  const BinaryOp op = node.op;
+  if (rank_a != rank_b) {
+    const uint8_t out = Bit(ApplyOp(op, rank_a < rank_b ? -1 : 1));
+    AndByWordPair(va, vb, n, op, m, [=](size_t) { return out; });
+    return;
   }
+  const bool comparison = DispatchOp(op, [&](auto tag) {
+    constexpr BinaryOp kOp = decltype(tag)::value;
+    if (a.type == DataType::kInt && b.type == DataType::kInt) {
+      const int64_t* x = a.ints.data();
+      const int64_t* y = b.ints.data();
+      AndByWordPair(va, vb, n, op, m,
+                    [=](size_t i) { return CompareNumbers<kOp>(x[i], y[i]); });
+    } else if (a.type == DataType::kInt) {  // mixed numerics as doubles
+      const int64_t* x = a.ints.data();
+      const double* y = b.floats.data();
+      AndByWordPair(va, vb, n, op, m, [=](size_t i) {
+        return CompareNumbers<kOp>(static_cast<double>(x[i]), y[i]);
+      });
+    } else if (b.type == DataType::kInt) {
+      const double* x = a.floats.data();
+      const int64_t* y = b.ints.data();
+      AndByWordPair(va, vb, n, op, m, [=](size_t i) {
+        return CompareNumbers<kOp>(x[i], static_cast<double>(y[i]));
+      });
+    } else if (a.type == DataType::kFloat) {
+      const double* x = a.floats.data();
+      const double* y = b.floats.data();
+      AndByWordPair(va, vb, n, op, m,
+                    [=](size_t i) { return CompareNumbers<kOp>(x[i], y[i]); });
+    } else if (a.type == DataType::kBool) {
+      const uint8_t* x = a.bools.data();
+      const uint8_t* y = b.bools.data();
+      AndByWordPair(va, vb, n, op, m,
+                    [=](size_t i) { return CompareNumbers<kOp>(x[i], y[i]); });
+    } else {  // string vs string
+      AndByWordPair(va, vb, n, op, m, [&](size_t i) {
+        return CompareStrings<kOp>(batch.StringAt(node.col, i),
+                                   batch.StringAt(node.col2, i));
+      });
+    }
+  });
+  if (!comparison) std::memset(m, 0, n);
 }
 
-void EvalInto(const VPNode& node, const ColumnBatch& batch,
-              std::vector<uint8_t>* mask) {
+/// ANDs `node`'s truth value into m[0, n): rows already 0 stay 0. `or` and
+/// `not` park their first operand's result in `scratch` (n bytes per
+/// level of or/not nesting, carved from the one buffer EvalMask
+/// allocates), so no node allocates.
+void AndInto(const VPNode& node, const ColumnBatch& batch, uint8_t* m,
+             uint8_t* scratch) {
   const size_t n = batch.num_rows();
-  std::vector<uint8_t>& m = *mask;
   switch (node.kind) {
     case VPNode::Kind::kConst:
-      m.assign(n, node.const_value ? 1 : 0);
+      if (!node.const_value) std::memset(m, 0, n);
       break;
     case VPNode::Kind::kBoolColumn: {
       const ColumnBatch::Column& c = batch.col(node.col);
-      m.resize(n);
-      for (size_t i = 0; i < n; ++i) {
-        m[i] = (c.IsValid(i) && c.bools[i] != 0) ? 1 : 0;
-      }
+      const uint8_t* x = c.bools.data();
+      AndByWord(c.valid.data(), n, /*null_out=*/0, m,
+                [=](size_t i) { return x[i]; });
       break;
     }
     case VPNode::Kind::kCompareScalar:
-      m.assign(n, 1);
-      AndCompareColumnScalar(batch, node.col, node.op, node.literal, mask);
+      AndCompareScalar(batch, node.col, node.op, node.literal, m);
       break;
     case VPNode::Kind::kCompareCols:
-      m.resize(n);
-      EvalCompareCols(batch, node, mask);
+      AndCompareCols(batch, node, m);
       break;
-    case VPNode::Kind::kAnd: {
-      EvalInto(*node.a, batch, mask);
-      std::vector<uint8_t> rhs;
-      EvalInto(*node.b, batch, &rhs);
-      for (size_t i = 0; i < n; ++i) m[i] &= rhs[i];
+    case VPNode::Kind::kAnd:
+      AndInto(*node.a, batch, m, scratch);
+      AndInto(*node.b, batch, m, scratch);
       break;
-    }
-    case VPNode::Kind::kOr: {
-      EvalInto(*node.a, batch, mask);
-      std::vector<uint8_t> rhs;
-      EvalInto(*node.b, batch, &rhs);
-      for (size_t i = 0; i < n; ++i) m[i] |= rhs[i];
-      break;
-    }
     case VPNode::Kind::kNot:
-      EvalInto(*node.a, batch, mask);
-      for (size_t i = 0; i < n; ++i) m[i] ^= 1;
+    case VPNode::Kind::kOr: {
+      // s = m & a, then m &= !a — which is all of `not`.
+      uint8_t* s = scratch;
+      std::memcpy(s, m, n);
+      AndInto(*node.a, batch, s, scratch + n);
+      for (size_t i = 0; i < n; ++i) m[i] &= s[i] ^ 1;
+      if (node.kind == VPNode::Kind::kOr) {
+        // m & !a & b, plus the rows a already passed.
+        AndInto(*node.b, batch, m, scratch + n);
+        for (size_t i = 0; i < n; ++i) m[i] |= s[i];
+      }
       break;
+    }
   }
+}
+
+/// Scratch rows AndInto needs below `node`: one per level of or/not.
+size_t ScratchDepth(const VPNode& node) {
+  const size_t a = node.a != nullptr ? ScratchDepth(*node.a) : 0;
+  const size_t b = node.b != nullptr ? ScratchDepth(*node.b) : 0;
+  const bool parks = node.kind == VPNode::Kind::kNot ||
+                     node.kind == VPNode::Kind::kOr;
+  return std::max(a, b) + (parks ? 1 : 0);
 }
 
 }  // namespace
@@ -386,13 +500,20 @@ std::unique_ptr<VectorPredicate> VectorPredicate::Compile(
     const Expr& expr, std::string_view var_name, const Schema& schema) {
   auto root = CompilePredicate(expr, var_name, schema);
   if (root == nullptr) return nullptr;
-  return std::unique_ptr<VectorPredicate>(
+  const size_t scratch_depth = ScratchDepth(*root);
+  std::unique_ptr<VectorPredicate> vp(
       new VectorPredicate(std::move(root)));  // ariel-lint: allow(raw-new)
+  vp->scratch_depth_ = scratch_depth;
+  return vp;
 }
 
 void VectorPredicate::EvalMask(const ColumnBatch& batch,
                                std::vector<uint8_t>* mask) const {
-  EvalInto(*root_, batch, mask);
+  const size_t n = batch.num_rows();
+  mask->assign(n, 1);
+  if (n == 0) return;
+  std::vector<uint8_t> scratch(n * scratch_depth_);
+  AndInto(*root_, batch, mask->data(), scratch.data());
 }
 
 }  // namespace ariel

@@ -13,12 +13,18 @@
 namespace ariel {
 
 /// Column-at-a-time comparison kernel: ANDs `column[i] <op> key` into
-/// `mask[i]` (mask entries already 0 stay 0). `op` must be a comparison.
+/// `mask[i]` (mask entries already 0 stay 0; `mask` holds batch.num_rows()
+/// entries of 0 or 1). `op` must be a comparison.
 /// Semantics replicate Value::Compare exactly — null rows behave as the
 /// null Value (null < bool < numeric < string), so `attr != 3` is TRUE for
-/// a null attr, just as on the row path. Comparisons never error, which is
-/// what makes this kernel safe to run eagerly over rows the row path would
-/// have skipped.
+/// a null attr, just as on the row path; int/int compares exactly, int/
+/// float through double, and a NaN compares equal to everything.
+/// Comparisons never error, which is what makes this kernel safe to run
+/// eagerly over rows the row path would have skipped.
+///
+/// The operator and the (column, key) type pair are chosen once per call;
+/// the row loop then reads the validity bitmap a 64-bit word at a time and
+/// ANDs into the mask without a per-row branch.
 void AndCompareColumnScalar(const ColumnBatch& batch, size_t col,
                             BinaryOp op, const Value& key,
                             std::vector<uint8_t>* mask);
@@ -45,7 +51,10 @@ class VectorPredicate {
                                                   const Schema& schema);
 
   /// Evaluates the predicate over every row of `batch` (built from the
-  /// same schema): mask[i] = 1 iff row i passes. Resizes `mask`.
+  /// same schema): mask[i] = 1 iff row i passes. Resizes `mask`. An `and`
+  /// ANDs its operands straight into `mask`; `or`/`not` share one scratch
+  /// buffer of num_rows() bytes per level of or/not nesting, the only
+  /// allocation of the call.
   void EvalMask(const ColumnBatch& batch, std::vector<uint8_t>* mask) const;
 
   ~VectorPredicate();
@@ -58,6 +67,7 @@ class VectorPredicate {
  private:
   explicit VectorPredicate(std::unique_ptr<Node> root);
   std::unique_ptr<Node> root_;
+  size_t scratch_depth_ = 0;  // or/not nesting depth of root_
 };
 
 using VectorPredicatePtr = std::unique_ptr<VectorPredicate>;

@@ -159,6 +159,54 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param.name;
     });
 
+// Rules activated over populated relations run their priming queries as
+// columnar scans; the α-memories, P-nodes and everything else in
+// DebugDumpState must match the row path's activation exactly — including
+// null cells, slot holes left by deletes, or/not selections, and a
+// selection that stays on the row path (arithmetic).
+std::string PrimeScenario(bool columnar) {
+  Metrics().firing_trace.Clear();
+  DatabaseOptions options;
+  options.optimizer.columnar_exec = columnar;
+  options.optimizer.columnar_min_rows = 0;
+  options.alpha_policy.mode = AlphaMemoryPolicy::Mode::kAllStored;
+  Database db(options);
+  auto exec = [&](const std::string& script) {
+    auto r = db.Execute(script);
+    EXPECT_TRUE(r.ok()) << script << ": " << r.status().ToString();
+  };
+  exec("create emp (name = string, sal = int, dno = int)");
+  exec("create dept (dno = int, name = string)");
+  exec("create sink (who = string)");
+  for (int d = 0; d < 10; ++d) {
+    exec("append dept (dno = " + std::to_string(d) + ", name = \"d" +
+         std::to_string(d) + "\")");
+  }
+  for (int i = 0; i < 300; ++i) {
+    const std::string sal =
+        i % 7 == 0 ? "" : ", sal = " + std::to_string((i * 131) % 1000);
+    exec("append emp (name = \"w" + std::to_string(i % 40) + "\"" + sal +
+         ", dno = " + std::to_string(i % 10) + ")");
+  }
+  exec("delete emp where emp.dno = 4");
+  exec("define rule band if emp.sal >= 100 and emp.sal < 300 and "
+       "emp.dno = dept.dno then append to sink (who = emp.name)");
+  exec("define rule either if (emp.sal < 50 or not (emp.dno != 3)) and "
+       "emp.dno = dept.dno and dept.name != \"d9\" "
+       "then append to sink (who = emp.name)");
+  exec("define rule named if emp.name = \"w7\" and emp.sal != 131 and "
+       "emp.dno = dept.dno then append to sink (who = dept.name)");
+  exec("define rule arith if emp.dno + 1 > 9 and emp.dno = dept.dno "
+       "then append to sink (who = emp.name)");
+  return db.DebugDumpState();
+}
+
+TEST(ColumnarActivationTest, PopulatedRelationsActivateLikeTheRowPath) {
+  const std::string row = PrimeScenario(/*columnar=*/false);
+  EXPECT_NE(row.find("band"), std::string::npos);
+  EXPECT_EQ(PrimeScenario(/*columnar=*/true), row);
+}
+
 TEST(ColumnarAuditTest, PlantedHeapCacheCorruptionIsReported) {
   DatabaseOptions options;
   options.optimizer.columnar_min_rows = 0;
