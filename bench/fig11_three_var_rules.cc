@@ -27,6 +27,8 @@ int main() {
     reporter.AddResult(key + "_install_s", row.install_seconds);
     reporter.AddResult(key + "_activate_s", row.activate_seconds);
     reporter.AddResult(key + "_token_test_ms", row.token_test_ms);
+    reporter.AddResult(key + "_alpha_bytes_per_rule",
+                       row.alpha_bytes_per_rule);
   }
 
   // Beyond the paper: sweep |dept| = |job| to expose the probe-vs-scan

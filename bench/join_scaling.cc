@@ -7,8 +7,8 @@
 //          scan, with the columnar prefilter; O(|relation|) per probe)
 //   hash:  stored α-memories, the join written r.k = s.k, probed through
 //          the hash join index (O(1 + matches))
-//   btree: virtual α-memories probed through a B+tree index on the join
-//          attribute (§4.2's index-probe path; O(log n + matches))
+//   virtual: virtual α-memories probed through the relation's join hash
+//          index (§4.2's index-probe path; O(1 + matches), no α storage)
 // for a two-variable rule (r.k = s.k) and a three-variable chain
 // (r.k = s.k and s.k = t.k). Keys are unique, so every probe has at most
 // one match and the separation between the strategies is pure probe cost.
@@ -24,13 +24,13 @@ namespace {
 using namespace ariel;
 using namespace ariel::bench;
 
-enum class ProbeMode { kScan, kHash, kBtree };
+enum class ProbeMode { kScan, kHash, kVirtual };
 
 const char* ModeName(ProbeMode mode) {
   switch (mode) {
     case ProbeMode::kScan: return "scan";
     case ProbeMode::kHash: return "hash";
-    case ProbeMode::kBtree: return "btree";
+    case ProbeMode::kVirtual: return "virtual";
   }
   return "?";
 }
@@ -46,7 +46,7 @@ struct SweepRow {
 SweepRow RunPoint(int vars, ProbeMode mode, int size, int trials) {
   DatabaseOptions options;
   options.auto_activate_rules = false;
-  options.alpha_policy.mode = mode == ProbeMode::kBtree
+  options.alpha_policy.mode = mode == ProbeMode::kVirtual
                                   ? AlphaMemoryPolicy::Mode::kAllVirtual
                                   : AlphaMemoryPolicy::Mode::kAllStored;
   Database db(options);
@@ -55,13 +55,6 @@ SweepRow RunPoint(int vars, ProbeMode mode, int size, int trials) {
   CheckOk(db.Execute("create s (k = int, pad = int)").status(), "create s");
   CheckOk(db.Execute("create t (k = int, pad = int)").status(), "create t");
   CheckOk(db.Execute("create sink (x = int)").status(), "create sink");
-  if (mode == ProbeMode::kBtree) {
-    CheckOk(db.Execute("define index on s (k)").status(), "index s");
-    if (vars >= 3) {
-      CheckOk(db.Execute("define index on t (k)").status(), "index t");
-    }
-  }
-
   // The key-less form is the same join with no `=` for an index to serve.
   auto eq = [mode](const std::string& lhs, const std::string& rhs) {
     return mode == ProbeMode::kScan
@@ -129,15 +122,15 @@ int main() {
 
   std::printf("=== join scaling: token test vs joined-relation size ===\n");
   std::printf("(unique keys; scan = stored entries, key-less join; hash = "
-              "stored + hash index; btree = virtual + B+tree probe)\n");
-  std::printf("%-6s %-7s %-10s %-16s %-14s\n", "vars", "mode", "size",
+              "stored + hash index; virtual = relation hash probe)\n");
+  std::printf("%-6s %-8s %-10s %-16s %-14s\n", "vars", "mode", "size",
               "token test(ms)", "join_probes");
   for (int vars : {2, 3}) {
     for (ProbeMode mode :
-         {ProbeMode::kScan, ProbeMode::kHash, ProbeMode::kBtree}) {
+         {ProbeMode::kScan, ProbeMode::kHash, ProbeMode::kVirtual}) {
       for (int size : sizes) {
         SweepRow row = RunPoint(vars, mode, size, trials);
-        std::printf("%-6d %-7s %-10d %-16.4f %-14llu\n", row.vars,
+        std::printf("%-6d %-8s %-10d %-16.4f %-14llu\n", row.vars,
                     ModeName(row.mode), row.size, row.token_ms,
                     static_cast<unsigned long long>(row.join_probes));
         const std::string key = "v" + std::to_string(row.vars) + "_" +

@@ -106,7 +106,23 @@ struct FigureRow {
   double install_seconds;
   double activate_seconds;
   double token_test_ms;
+  /// α bytes per rule after activation: the rules' memories plus the
+  /// relation join hash indexes their virtual memories lease.
+  double alpha_bytes_per_rule = 0;
 };
+
+/// Bytes held for `db`'s active rules: every rule's α-memories plus each
+/// relation's leased join hash indexes (shared, so counted once).
+inline size_t RuleAlphaBytes(Database& db) {
+  size_t bytes = 0;
+  for (const Rule* rule : db.rules().ActiveRules()) {
+    bytes += rule->network->AlphaFootprintBytes();
+  }
+  for (const std::string& name : db.catalog().RelationNames()) {
+    bytes += db.catalog().GetRelation(name)->JoinIndexFootprintBytes();
+  }
+  return bytes;
+}
 
 /// Runs the full install/activate/token-test protocol of §6 for one rule
 /// type and one rule count. Token tests use the storage gateway directly so
@@ -135,6 +151,8 @@ inline FigureRow RunFigureProtocol(int rule_type, int num_rules,
     CheckOk(db.rules().ActivateRule(name), "activate rule");
   }
   row.activate_seconds = timer.ElapsedSeconds();
+  row.alpha_bytes_per_rule =
+      static_cast<double>(RuleAlphaBytes(db)) / num_rules;
 
   // Token test: one insert into emp, propagated through the discrimination
   // network via the gateway (no recognize-act cycle => no action timing).
@@ -171,14 +189,13 @@ inline FigureRow RunFigureProtocolMedian(int rule_type, int num_rules,
                                          const DatabaseOptions& base_options,
                                          int trials = 3) {
   std::vector<double> install, activate, token;
+  FigureRow row;
   for (int t = 0; t < trials; ++t) {
-    FigureRow row = RunFigureProtocol(rule_type, num_rules, base_options);
+    row = RunFigureProtocol(rule_type, num_rules, base_options);
     install.push_back(row.install_seconds);
     activate.push_back(row.activate_seconds);
     token.push_back(row.token_test_ms);
   }
-  FigureRow row;
-  row.num_rules = num_rules;
   row.install_seconds = Median(&install);
   row.activate_seconds = Median(&activate);
   row.token_test_ms = Median(&token);
@@ -336,11 +353,13 @@ inline void PrintFigureTable(const char* figure, const char* description,
   std::printf("=== %s: %s ===\n", figure, description);
   std::printf("(paper: Sun SPARCstation 1, ~12 MIPS; this run: modern "
               "hardware — compare shapes, not absolutes)\n");
-  std::printf("%-12s %-16s %-16s %-16s\n", "no. of rules", "installation(s)",
-              "activation(s)", "token test(ms)");
+  std::printf("%-12s %-16s %-16s %-16s %-14s\n", "no. of rules",
+              "installation(s)", "activation(s)", "token test(ms)",
+              "alpha B/rule");
   for (const FigureRow& row : rows) {
-    std::printf("%-12d %-16.4f %-16.4f %-16.4f\n", row.num_rules,
-                row.install_seconds, row.activate_seconds, row.token_test_ms);
+    std::printf("%-12d %-16.4f %-16.4f %-16.4f %-14.0f\n", row.num_rules,
+                row.install_seconds, row.activate_seconds, row.token_test_ms,
+                row.alpha_bytes_per_rule);
   }
   std::printf("\n");
 }

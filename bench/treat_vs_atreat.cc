@@ -76,11 +76,7 @@ Sample RunPolicy(AlphaMemoryPolicy policy, int emp_size) {
   }
   sample.activate_seconds = timer.ElapsedSeconds();
 
-  sample.alpha_bytes = 0;
-  for (const std::string& name : names) {
-    sample.alpha_bytes +=
-        db.rules().GetRule(name)->network->AlphaFootprintBytes();
-  }
+  sample.alpha_bytes = RuleAlphaBytes(db);
 
   const int kTokens = 100;
   timer.Reset();
@@ -113,6 +109,12 @@ int main() {
       Sample s = RunPolicy(policy, emp_size);
       std::printf("%-10d %-12s %-14.4f %-16zu %-16.2f\n", emp_size, name,
                   s.activate_seconds, s.alpha_bytes, s.token_us);
+      const std::string key =
+          std::string(name) + "_emp" + std::to_string(emp_size);
+      reporter.AddResult(key + "_activate_s", s.activate_seconds);
+      reporter.AddResult(key + "_alpha_bytes",
+                         static_cast<double>(s.alpha_bytes));
+      reporter.AddResult(key + "_token_us", s.token_us);
     }
   }
   return 0;

@@ -41,6 +41,8 @@ REQUIRE_RESULTS = {
     "join_scaling",
     "fig10_two_var_rules",
     "fig11_three_var_rules",
+    "virtual_alpha",
+    "treat_vs_atreat",
 }
 
 # `bench/<name>` where the path ends at the name (excludes directories

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/footprint.h"
+
 namespace ariel {
 
 namespace {
@@ -72,6 +74,22 @@ void JoinKeyIndex::Clear() {
     state.buckets.clear();
     state.slot_keys.clear();
   }
+}
+
+size_t JoinKeyIndex::FootprintBytes() const {
+  size_t bytes = specs_.capacity() * sizeof(SpecState);
+  for (const SpecState& state : specs_) {
+    bytes += HashMapFootprintBytes(state.buckets) +
+             state.slot_keys.capacity() * sizeof(Value);
+    for (const auto& [key, bucket] : state.buckets) {
+      bytes += key.FootprintBytes() - sizeof(Value) +
+               bucket.capacity() * sizeof(uint32_t);
+    }
+    for (const Value& key : state.slot_keys) {
+      bytes += key.FootprintBytes() - sizeof(Value);
+    }
+  }
+  return bytes;
 }
 
 int JoinKeyIndex::FindUsableSpec(const std::vector<bool>& bound) const {

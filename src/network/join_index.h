@@ -63,6 +63,9 @@ class JoinKeyIndex {
 
   void Clear();
 
+  /// Approximate heap bytes of the buckets and per-slot keys.
+  size_t FootprintBytes() const;
+
   /// First enabled spec whose probe side is fully bound, or -1.
   int FindUsableSpec(const std::vector<bool>& bound) const;
 

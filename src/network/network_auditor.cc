@@ -1,5 +1,6 @@
 #include "network/network_auditor.h"
 
+#include <algorithm>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -188,6 +189,14 @@ Status NetworkAuditor::AuditRule(const RuleNetwork& rule,
   return Status::OK();
 }
 
+void NetworkAuditor::AuditRelation(const HeapRelation& relation,
+                                   std::vector<AuditViolation>* out) {
+  for (std::string& problem : relation.AuditJoinIndexes()) {
+    Report(out, AuditViolationKind::kJoinIndexInconsistent,
+           "relation " + relation.name(), std::move(problem));
+  }
+}
+
 void NetworkAuditor::AuditSelection(const SelectionNetwork& selection,
                                     std::vector<AuditViolation>* out) {
   for (std::string& problem : selection.AuditIndexes()) {
@@ -200,8 +209,17 @@ Result<std::vector<AuditViolation>> NetworkAuditor::AuditAtQuiescence(
     const std::vector<const RuleNetwork*>& rules,
     const SelectionNetwork& selection) {
   std::vector<AuditViolation> violations;
+  // Each relation once, however many rules lease its join hash indexes.
+  std::vector<const HeapRelation*> relations;
   for (const RuleNetwork* rule : rules) {
     ARIEL_RETURN_NOT_OK(AuditRule(*rule, &violations));
+    for (size_t i = 0; i < rule->num_vars(); ++i) {
+      const HeapRelation* relation = rule->alpha(i)->spec().relation;
+      if (std::find(relations.begin(), relations.end(), relation) ==
+          relations.end()) {
+        relations.push_back(relation);
+      }
+    }
     // Conflict resolution scans only the agenda: an instantiation pending
     // off it would never fire.
     if (!rule->pnode()->empty() && !rule->scheduled()) {
@@ -210,6 +228,9 @@ Result<std::vector<AuditViolation>> NetworkAuditor::AuditAtQuiescence(
              std::to_string(rule->pnode()->size()) +
                  " pending instantiation(s), rule not on the agenda");
     }
+  }
+  for (const HeapRelation* relation : relations) {
+    AuditRelation(*relation, &violations);
   }
   AuditSelection(selection, &violations);
   return violations;

@@ -22,6 +22,7 @@ enum class AuditViolationKind : uint8_t {
   kPnodeStale,        // P-node instantiation's values disagree with the base
   kIslInconsistent,   // interval index disagrees with a brute-force stab
   kJoinIndexInconsistent,  // hash join index / retraction map ⇎ entry vector
+                           // or relation join hash index ⇎ heap
   kBatchTokensPending,     // deferred batch tokens never flushed
   kUndoResidue,            // undo log non-empty / savepoints open at quiescence
   kColumnCacheIncoherent,  // cached column batch disagrees with its source rows
@@ -56,6 +57,8 @@ struct AuditViolation {
 ///     tuples with matching values;
 ///   - the selection network's interval skip lists answer stabbing queries
 ///     identically to a brute-force scan of the registered conditions;
+///   - every relation join hash index a rule leases holds each live tuple
+///     exactly once, under its current value, and no dead slot;
 ///   - any materialized α-memory column cache mirrors its entry vector
 ///     cell-for-cell (Database::AuditNetwork adds the same check for heap
 ///     relation column caches).
@@ -70,12 +73,18 @@ class NetworkAuditor {
   [[nodiscard]] static Status AuditRule(const RuleNetwork& rule,
                                         std::vector<AuditViolation>* out);
 
+  /// Audits a relation's join hash indexes against its heap. Appends to
+  /// `out`.
+  static void AuditRelation(const HeapRelation& relation,
+                            std::vector<AuditViolation>* out);
+
   /// Audits the selection network's interval indexes. Appends to `out`.
   static void AuditSelection(const SelectionNetwork& selection,
                              std::vector<AuditViolation>* out);
 
-  /// Full audit at a quiescence point: every given rule plus the selection
-  /// network. Returns the violations found (empty = network consistent).
+  /// Full audit at a quiescence point: every given rule, each relation
+  /// they join over, plus the selection network. Returns the violations
+  /// found (empty = network consistent).
   [[nodiscard]] static Result<std::vector<AuditViolation>> AuditAtQuiescence(
       const std::vector<const RuleNetwork*>& rules,
       const SelectionNetwork& selection);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "util/footprint.h"
 #include "util/string_util.h"
 
 namespace ariel {
@@ -219,6 +220,8 @@ size_t AlphaMemory::FootprintBytes() const {
   for (const AlphaEntry& e : entries_) {
     bytes += e.value.FootprintBytes() + e.previous.FootprintBytes();
   }
+  bytes += HashMapFootprintBytes(slot_of_) + join_index_.FootprintBytes();
+  if (column_cache_ != nullptr) bytes += column_cache_->FootprintBytes();
   return bytes;
 }
 
@@ -278,6 +281,7 @@ Status RuleNetwork::Init() {
     }
   }
 
+  selection_scratch_ = Row(n);
   adjacency_.assign(n, std::vector<bool>(n, false));
   for (const ExprPtr& expr : join_exprs_) {
     CompiledConjunct cc;
@@ -295,7 +299,7 @@ Status RuleNetwork::Init() {
         if (a != b) adjacency_[a][b] = true;
       }
     }
-    ARIEL_RETURN_NOT_OK(RecordIndexJoinPaths(*expr));
+    ARIEL_RETURN_NOT_OK(RecordRelationProbes(*expr));
     if (columnar_exec_) {
       ARIEL_RETURN_NOT_OK(
           RecordBandedProbes(join_conjuncts_.size(), *expr));
@@ -477,12 +481,12 @@ Status RuleNetwork::RecordBandedProbes(size_t conjunct_idx,
   return Status::OK();
 }
 
-Status RuleNetwork::RecordIndexJoinPaths(const Expr& conjunct) {
+Status RuleNetwork::RecordRelationProbes(const Expr& conjunct) {
   if (conjunct.kind != ExprKind::kBinary) return Status::OK();
   const auto& bin = static_cast<const BinaryExpr&>(conjunct);
   if (bin.op != BinaryOp::kEq) return Status::OK();
 
-  // Either side of `a.x = <expr>` yields a path into a's memory when the
+  // Either side of `a.x = <expr>` yields a probe into a's memory when the
   // other side depends only on other variables.
   for (bool flip : {false, true}) {
     const Expr* ref_side = flip ? bin.rhs.get() : bin.lhs.get();
@@ -492,11 +496,13 @@ Status RuleNetwork::RecordIndexJoinPaths(const Expr& conjunct) {
     if (ref.previous || ref.is_all()) continue;
     int var = scope_.IndexOf(ref.tuple_var);
     if (var < 0) continue;
-    if (!alphas_[var]->is_virtual()) continue;  // only virtual joins probe
+    const AlphaMemory& alpha = *alphas_[var];
+    if (!alpha.is_virtual()) continue;  // stored memories hash their entries
+    if (!AttrListed(alpha.spec().equijoin_attrs, ref.attribute)) continue;
 
-    IndexJoinPath path;
-    path.var = static_cast<size_t>(var);
-    path.attr_name = ref.attribute;
+    RelationProbe probe;
+    probe.var = static_cast<size_t>(var);
+    probe.attr_name = ToLower(ref.attribute);
     bool self_reference = false;
     for (const std::string& kv : CollectTupleVars(*key_side)) {
       int idx = scope_.IndexOf(kv);
@@ -504,11 +510,13 @@ Status RuleNetwork::RecordIndexJoinPaths(const Expr& conjunct) {
         self_reference = true;
         break;
       }
-      path.key_vars.push_back(static_cast<size_t>(idx));
+      probe.key_vars.push_back(static_cast<size_t>(idx));
     }
-    if (self_reference || path.key_vars.empty()) continue;
-    ARIEL_ASSIGN_OR_RETURN(path.key_expr, CompileExpr(*key_side, scope_));
-    index_join_paths_.push_back(std::move(path));
+    if (self_reference || probe.key_vars.empty()) continue;
+    ARIEL_ASSIGN_OR_RETURN(probe.key_expr, CompileExpr(*key_side, scope_));
+    ARIEL_ASSIGN_OR_RETURN(probe.index, alpha.spec().relation->AcquireJoinIndex(
+                                            ref.attribute));
+    relation_probes_.push_back(std::move(probe));
   }
   return Status::OK();
 }
@@ -613,11 +621,9 @@ Status RuleNetwork::ReteExtend(size_t level, Row* row, const Token& token,
 
   Status status = ForEachCandidate(
       token, next, *row, bound, processed,
-      [&](const AlphaEntry& entry) -> Status {
-        row->Set(next, entry.value, entry.tid);
-        if (alphas_[next]->is_transition()) {
-          row->SetPrevious(next, entry.previous);
-        }
+      [&](TupleId tid, const Tuple& value, const Tuple& previous) -> Status {
+        row->Set(next, value, tid);
+        if (alphas_[next]->is_transition()) row->SetPrevious(next, previous);
         ARIEL_ASSIGN_OR_RETURN(bool ok,
                                PrefixConjunctsHold(next, next, *row));
         if (!ok) return Status::OK();
@@ -650,9 +656,9 @@ Status RuleNetwork::ReteAssert(const Token& token, size_t alpha_ordinal,
     bound[0] = true;  // index-path convention: the probed var reads as bound
     Status status = ForEachCandidate(
         token, 0, row, bound, processed,
-        [&](const AlphaEntry& entry) -> Status {
-          row.Set(0, entry.value, entry.tid);
-          if (alphas_[0]->is_transition()) row.SetPrevious(0, entry.previous);
+        [&](TupleId tid, const Tuple& value, const Tuple& previous) -> Status {
+          row.Set(0, value, tid);
+          if (alphas_[0]->is_transition()) row.SetPrevious(0, previous);
           ARIEL_ASSIGN_OR_RETURN(bool ok, PrefixConjunctsHold(1, 1, row));
           if (!ok) return Status::OK();
           return ReteExtend(1, &row, token, processed);
@@ -779,9 +785,9 @@ Status RuleNetwork::ExtendJoin(const Token& token, Row* row,
   (*bound)[j] = true;
   Status status = ForEachCandidate(
       token, j, *row, *bound, processed,
-      [&](const AlphaEntry& entry) -> Status {
-        row->Set(j, entry.value, entry.tid);
-        if (alphas_[j]->is_transition()) row->SetPrevious(j, entry.previous);
+      [&](TupleId tid, const Tuple& value, const Tuple& previous) -> Status {
+        row->Set(j, value, tid);
+        if (alphas_[j]->is_transition()) row->SetPrevious(j, previous);
         ARIEL_ASSIGN_OR_RETURN(bool ok, JoinConjunctsHold(j, *bound, *row));
         if (!ok) return Status::OK();
         return ExtendJoin(token, row, bound, num_bound + 1, processed);
@@ -816,7 +822,8 @@ Status RuleNetwork::ForEachCandidate(
           Metrics().join_hash_hits.Increment(slots->size());
           Metrics().join_probes.Increment(slots->size());
           for (uint32_t s : *slots) {
-            ARIEL_RETURN_NOT_OK(fn(entries[s]));
+            const AlphaEntry& entry = entries[s];
+            ARIEL_RETURN_NOT_OK(fn(entry.tid, entry.value, entry.previous));
           }
           return Status::OK();
         }
@@ -882,7 +889,7 @@ Status RuleNetwork::ForEachCandidate(
         continue;
       }
       ++emitted;
-      status = fn(entries[i]);
+      status = fn(entries[i].tid, entries[i].value, entries[i].previous);
       if (!status.ok()) break;
     }
     if (pruned > 0) Metrics().columnar_join_prefiltered.Increment(pruned);
@@ -895,65 +902,62 @@ Status RuleNetwork::ForEachCandidate(
   }
 
   // Virtual α-memory (§4.2): derive the node's value from the base
-  // relation through the stored predicate. The token's own tuple is already
-  // in the relation, so it is skipped here and supplied explicitly iff this
-  // memory is in ProcessedMemories — the self-join protocol that makes a
-  // token join to itself exactly the right number of times.
+  // relation through the stored predicate, handing each heap tuple to fn by
+  // reference. The token's own tuple is already in the relation, so it is
+  // skipped here and supplied explicitly iff this memory is in
+  // ProcessedMemories — the self-join protocol that makes a token join to
+  // itself exactly the right number of times.
   const HeapRelation* relation = alpha->spec().relation;
   const CompiledExpr* selection = alpha->compiled_selection();
-  Row scratch(alphas_.size());
+  static const Tuple kNoPrevious;
 
-  // join_probes / join_index_probes count the candidates actually emitted
-  // to fn — after the self-skip, liveness, and selection filters.
-  bool via_index = false;
-  auto emit = [&](TupleId tid) -> Status {
+  // join_probes counts the candidates actually emitted to fn — after the
+  // self-skip, liveness, and selection filters.
+  auto emit = [&](uint32_t slot) -> Status {
+    const TupleId tid{relation->id(), slot};
     if (tid == token.tid) return Status::OK();
     const Tuple* tuple = relation->Get(tid);
     if (tuple == nullptr) return Status::OK();
     if (selection != nullptr) {
-      scratch.Set(j, *tuple, tid);
-      ARIEL_ASSIGN_OR_RETURN(bool keep, selection->EvalPredicate(scratch));
+      selection_scratch_.Set(j, *tuple, tid);
+      ARIEL_ASSIGN_OR_RETURN(bool keep,
+                             selection->EvalPredicate(selection_scratch_));
       if (!keep) return Status::OK();
     }
     Metrics().join_probes.Increment();
-    if (via_index) Metrics().join_index_probes.Increment();
-    return fn(AlphaEntry{tid, *tuple, Tuple()});
+    return fn(tid, *tuple, kNoPrevious);
   };
 
-  // Prefer an index probe when an equijoin path into this memory has its
-  // key side fully bound and the relation has a matching B+tree (§4.2's
-  // "index scan or sequential scan" optimization choice).
-  const BTreeIndex* index = nullptr;
-  const IndexJoinPath* chosen = nullptr;
-  for (const IndexJoinPath& path : index_join_paths_) {
-    if (path.var != j) continue;
+  // Probe the relation's join hash index when an equijoin key into this
+  // memory is fully bound; a key that cannot be evaluated falls back to
+  // the scan, where the conjunct itself reports the error per candidate —
+  // exactly as a stored memory's keyed probe does.
+  const std::vector<uint32_t>* slots = nullptr;
+  bool probed = false;
+  for (const RelationProbe& probe : relation_probes_) {
+    if (probe.var != j) continue;
     bool usable = true;
-    for (size_t kv : path.key_vars) {
+    for (size_t kv : probe.key_vars) {
       if (!bound[kv] || kv == j) usable = false;
     }
     if (!usable) continue;
-    const BTreeIndex* candidate = relation->GetIndex(path.attr_name);
-    if (candidate != nullptr) {
-      index = candidate;
-      chosen = &path;
-      break;
-    }
+    Result<Value> key = probe.key_expr->Eval(row);
+    if (!key.ok()) continue;
+    slots = probe.index->Find(key.value());
+    probed = true;
+    break;
   }
 
-  if (chosen != nullptr) {
-    via_index = true;
-    ARIEL_ASSIGN_OR_RETURN(Value key, chosen->key_expr->Eval(row));
-    std::vector<TupleId> tids;
-    index->Lookup(key, &tids);
-    for (TupleId tid : tids) {
-      ARIEL_RETURN_NOT_OK(emit(tid));
+  if (probed) {
+    Metrics().join_hash_probes.Increment();
+    if (slots != nullptr) {
+      Metrics().join_hash_hits.Increment(slots->size());
+      for (uint32_t slot : *slots) ARIEL_RETURN_NOT_OK(emit(slot));
     }
-    via_index = false;
   } else {
-    std::vector<TupleId> tids = relation->AllTupleIds();
     Metrics().virtual_alpha_scans.Increment();
-    for (TupleId tid : tids) {
-      ARIEL_RETURN_NOT_OK(emit(tid));
+    for (size_t slot = 0; slot < relation->slot_count(); ++slot) {
+      ARIEL_RETURN_NOT_OK(emit(static_cast<uint32_t>(slot)));
     }
   }
 
@@ -963,7 +967,7 @@ Status RuleNetwork::ForEachCandidate(
   // a virtual memory of the same relation must not pair with the dying
   // tuple.
   if (token.is_insertion() && processed.contains(alpha)) {
-    ARIEL_RETURN_NOT_OK(fn(AlphaEntry{token.tid, token.value, Tuple()}));
+    ARIEL_RETURN_NOT_OK(fn(token.tid, token.value, kNoPrevious));
   }
   return Status::OK();
 }
@@ -1150,9 +1154,11 @@ std::string RuleNetwork::ToString() const {
   for (const ExprPtr& join : join_exprs_) {
     out += "  join: " + join->ToString() + "\n";
   }
-  for (const IndexJoinPath& path : index_join_paths_) {
-    out += "  index probe available: " + scope_.var(path.var).name + "." +
-           path.attr_name + " = " + "<bound key>\n";
+  for (const RelationProbe& probe : relation_probes_) {
+    const AlphaSpec& spec = alphas_[probe.var]->spec();
+    out += "  probe " + spec.relation->name() + "." + probe.attr_name +
+           " [relation hash, " + std::to_string(probe.index->num_keys()) +
+           " keys] for " + spec.var_name + "\n";
   }
   for (const auto& alpha : alphas_) {
     const JoinKeyIndex& jidx = alpha->join_index();

@@ -28,7 +28,7 @@ namespace ariel {
 /// kDynamicTrans and additionally carries the event filter.
 enum class AlphaKind : uint8_t {
   kStored,        // materialized collection of matching tuples
-  kVirtual,       // predicate only; joins scan the base relation (§4.2)
+  kVirtual,       // predicate only; joins probe or scan the base relation
   kDynamicOn,     // event condition: flushed after each transition
   kDynamicTrans,  // transition condition: pairs, flushed after transition
   kSimple,        // 1-variable rule: matches go straight to the P-node
@@ -55,7 +55,8 @@ struct AlphaSpec {
   /// Key metadata handed down by the rule compiler: attributes of this
   /// variable that appear as a bare column reference in an equality join
   /// conjunct whose other side does not touch the variable. The network
-  /// builds hash join indexes (and B+tree probe paths) only on these.
+  /// keys its hash join buckets (stored memories) and leases relation join
+  /// hash indexes (virtual memories) only on these.
   std::vector<std::string> equijoin_attrs;
 };
 
@@ -140,8 +141,11 @@ class AlphaMemory {
   /// Estimated candidate count for join ordering.
   size_t EstimatedSize() const;
 
-  /// Approximate bytes held by materialized entries (the storage the
-  /// virtual-memory technique saves; §4.2).
+  /// Approximate heap bytes the memory holds (the storage the
+  /// virtual-memory technique saves; §4.2): entries, the TID→slot map, the
+  /// hash join buckets and keys, and any cached column view. A virtual
+  /// memory holds none of these; the relation join hash index it probes is
+  /// shared and counted by HeapRelation::JoinIndexFootprintBytes.
   size_t FootprintBytes() const;
 
   /// Compiled selection predicate (set by RuleNetwork::Init).
@@ -342,10 +346,13 @@ class RuleNetwork {
                     size_t num_bound, const ProcessedMemories& processed);
 
   /// Candidate enumeration for joining into variable `j`: a hash-bucket
-  /// lookup when an equijoin key is fully bound, a B+tree probe or base
-  /// scan for virtual memories, an entry scan otherwise. `fn` is a template
-  /// parameter (not std::function) to keep type-erasure overhead off the
-  /// hottest loop; all instantiations live in rule_network.cc.
+  /// lookup when an equijoin key is fully bound (the memory's own buckets
+  /// when stored, the relation's join hash index when virtual), an entry
+  /// or base-relation scan otherwise. `fn(tid, value, previous)` receives
+  /// each candidate by reference — a stored entry or the heap tuple itself.
+  /// `fn` is a template parameter (not std::function) to keep type-erasure
+  /// overhead off the hottest loop; all instantiations live in
+  /// rule_network.cc.
   template <typename Fn>
   [[nodiscard]] Status ForEachCandidate(const Token& token, size_t j, const Row& row,
                           const std::vector<bool>& bound,
@@ -356,9 +363,10 @@ class RuleNetwork {
   [[nodiscard]] Result<bool> JoinConjunctsHold(size_t j, const std::vector<bool>& bound,
                                  const Row& row) const;
 
-  /// Records index-probe opportunities arising from equijoin conjuncts
-  /// into virtual α-memories (called once per conjunct by Init).
-  [[nodiscard]] Status RecordIndexJoinPaths(const Expr& conjunct);
+  /// Leases the relation join hash index for each equijoin conjunct into a
+  /// virtual α-memory over a compiler-flagged attribute (called once per
+  /// conjunct by Init).
+  [[nodiscard]] Status RecordRelationProbes(const Expr& conjunct);
 
   /// Derives and installs the hash key specs for every stored α-memory
   /// from the rule's equijoin conjuncts, gated on the compiler's
@@ -411,18 +419,20 @@ class RuleNetwork {
   };
   std::vector<CompiledConjunct> join_conjuncts_;
 
-  /// An equijoin path usable to probe a virtual α-memory through a B+tree
-  /// index instead of scanning its base relation (§4.2: "the base relation
-  /// scan ... can be done with any scan algorithm"): when joining into
-  /// variable `var` with all of `key_vars` already bound, evaluate
-  /// `key_expr` and look up `attr_name` in the relation's index.
-  struct IndexJoinPath {
+  /// An equijoin conjunct `var.attr = key(other vars)` into a virtual
+  /// α-memory: when every key variable is bound, evaluate `key_expr` once
+  /// and probe the relation's join hash index for `attr` instead of
+  /// scanning the relation (§4.2: the virtual memory's base-relation scan
+  /// "can be done with any scan algorithm"). The lease keeps the index
+  /// alive and maintained while the rule is active.
+  struct RelationProbe {
     size_t var;
     std::string attr_name;
     CompiledExprPtr key_expr;
     std::vector<size_t> key_vars;
+    JoinIndexLease index;
   };
-  std::vector<IndexJoinPath> index_join_paths_;
+  std::vector<RelationProbe> relation_probes_;
 
   /// A join conjunct of the form `j.attr <op> key(other vars)` (normalized
   /// so the stored column is on the left) usable to prefilter a stored
@@ -460,6 +470,9 @@ class RuleNetwork {
   /// result lands in the P-node. Each level carries keyed partial-match
   /// lookup and TID→slot postings (see BetaMemory).
   std::vector<BetaMemory> beta_;
+  /// Scratch row for evaluating a virtual memory's selection on a heap
+  /// candidate (only that memory's slot is ever read).
+  Row selection_scratch_;
   uint64_t ordinal_ = 0;
   uint64_t epoch_ = 0;  // match epoch of the token being propagated
   bool compensating_ = false;

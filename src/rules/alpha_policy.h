@@ -14,11 +14,15 @@ struct AlphaMemoryPolicy {
   enum class Mode : uint8_t {
     kAllStored,   // classic TREAT
     kAllVirtual,  // maximum storage saving
-    kAdaptive,    // virtual when the estimated match count exceeds threshold
+    kAdaptive,    // virtual when selection-free and keyed, or when the
+                  // estimated match count reaches the threshold
   };
   Mode mode = Mode::kAdaptive;
   /// Adaptive: memories whose estimated cardinality (|R| × predicate
-  /// selectivity) is at least this many tuples become virtual.
+  /// selectivity) is at least this many tuples become virtual. A join
+  /// variable with no selection and an equijoin key is virtual whatever
+  /// its size: its stored memory would be a copy of the whole relation,
+  /// and the key probes the relation's join hash index instead.
   double virtual_threshold = 256;
 };
 

@@ -472,9 +472,14 @@ Result<CompiledRule> CompileRule(const DefineRuleCommand& rule,
           spec.kind = AlphaKind::kVirtual;
           break;
         case AlphaMemoryPolicy::Mode::kAdaptive: {
+          // A selection-free memory would copy the whole relation, tuple
+          // for tuple; when an equijoin key can probe the relation's join
+          // hash index instead, that copy buys nothing whatever its size.
+          const bool copies_relation =
+              spec.selection == nullptr && !spec.equijoin_attrs.empty();
           double estimated = selectivity * static_cast<double>(
                                                v.relation->size());
-          spec.kind = estimated >= policy.virtual_threshold
+          spec.kind = copies_relation || estimated >= policy.virtual_threshold
                           ? AlphaKind::kVirtual
                           : AlphaKind::kStored;
           break;

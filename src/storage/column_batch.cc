@@ -30,6 +30,19 @@ Tuple ColumnBatch::TupleAt(size_t row) const {
   return Tuple(std::move(values));
 }
 
+size_t ColumnBatch::FootprintBytes() const {
+  size_t bytes = sizeof(ColumnBatch) + tids_.capacity() * sizeof(TupleId) +
+                 cols_.capacity() * sizeof(Column) + arena_.capacity();
+  for (const Column& col : cols_) {
+    bytes += col.valid.capacity() * sizeof(uint64_t) +
+             col.ints.capacity() * sizeof(int64_t) +
+             col.floats.capacity() * sizeof(double) + col.bools.capacity() +
+             (col.str_off.capacity() + col.str_len.capacity()) *
+                 sizeof(uint32_t);
+  }
+  return bytes;
+}
+
 void ColumnBatch::CorruptForTesting() {
   if (cols_.empty() || num_rows() == 0) return;
   cols_[0].valid[0] ^= 1;

@@ -62,6 +62,9 @@ class ColumnBatch {
   /// Reconstructs the full row as a Tuple (auditing only).
   Tuple TupleAt(size_t row) const;
 
+  /// Approximate heap bytes of the columns, tids and string arena.
+  size_t FootprintBytes() const;
+
   /// Test-only: flips the validity bit of cell (0, 0), making the cached
   /// view disagree with the heap. A non-null heap value reads back as null
   /// (and vice versa), which the NetworkAuditor coherence check must catch.

@@ -66,6 +66,7 @@ Result<TupleId> HeapRelation::Insert(Tuple tuple) {
   for (auto& [attr_pos, index] : indexes_) {
     index->Insert(store.slots[slot]->at(attr_pos), tid);
   }
+  IndexJoinSlot(slot);
   return tid;
 }
 
@@ -108,6 +109,7 @@ Status HeapRelation::InsertAt(TupleId tid, Tuple tuple) {
   for (auto& [attr_pos, index] : indexes_) {
     index->Insert(store.slots[tid.slot]->at(attr_pos), tid);
   }
+  IndexJoinSlot(tid.slot);
   return Status::OK();
 }
 
@@ -121,6 +123,7 @@ Status HeapRelation::Delete(TupleId tid) {
   for (auto& [attr_pos, index] : indexes_) {
     index->Remove(store.slots[tid.slot]->at(attr_pos), tid);
   }
+  UnindexJoinSlot(tid.slot);
   store.slots[tid.slot].reset();
   store.free_slots.push_back(tid.slot);
   --store.live_count;
@@ -141,6 +144,7 @@ Status HeapRelation::Update(TupleId tid, Tuple tuple,
     for (auto& [attr_pos, index] : indexes_) {
       index->Remove(store.slots[tid.slot]->at(attr_pos), tid);
     }
+    RekeyJoinSlot(tid.slot, *store.slots[tid.slot], tuple, nullptr);
     store.slots[tid.slot] = std::move(tuple);
     for (auto& [attr_pos, index] : indexes_) {
       index->Insert(store.slots[tid.slot]->at(attr_pos), tid);
@@ -169,6 +173,7 @@ Status HeapRelation::Update(TupleId tid, Tuple tuple,
       index->Remove(store.slots[tid.slot]->at(attr_pos), tid);
     }
   }
+  RekeyJoinSlot(tid.slot, *store.slots[tid.slot], tuple, &listed);
   store.slots[tid.slot] = std::move(tuple);
   for (auto& [attr_pos, index] : indexes_) {
     if (listed[attr_pos]) {
@@ -309,6 +314,87 @@ std::string HeapRelation::AuditColumnCache() const {
     }
   }
   return "";
+}
+
+void HeapRelation::IndexJoinSlot(uint32_t slot) {
+  for (LeasedJoinIndex& leased : join_indexes_) {
+    leased.index->Insert(store_->slots[slot]->at(leased.index->attribute()),
+                         slot);
+  }
+}
+
+void HeapRelation::UnindexJoinSlot(uint32_t slot) {
+  for (LeasedJoinIndex& leased : join_indexes_) {
+    leased.index->Remove(store_->slots[slot]->at(leased.index->attribute()),
+                         slot);
+  }
+}
+
+void HeapRelation::RekeyJoinSlot(uint32_t slot, const Tuple& before,
+                                 const Tuple& after,
+                                 const std::vector<bool>* listed) {
+  for (LeasedJoinIndex& leased : join_indexes_) {
+    const size_t attr = leased.index->attribute();
+    if (listed != nullptr && !(*listed)[attr]) continue;
+    leased.index->Rekey(before.at(attr), after.at(attr), slot);
+  }
+}
+
+Result<JoinIndexLease> HeapRelation::AcquireJoinIndex(
+    std::string_view attribute) const {
+  ARIEL_ASSIGN_OR_RETURN(size_t pos, schema_.Find(attribute));
+  for (LeasedJoinIndex& leased : join_indexes_) {
+    if (leased.index->attribute() == pos) {
+      ++leased.leases;
+      return JoinIndexLease(this, leased.index.get());
+    }
+  }
+  auto index = std::make_unique<JoinHashIndex>(pos);
+  const TupleStore& store = *store_;
+  for (uint32_t slot = 0; slot < store.slots.size(); ++slot) {
+    if (store.slots[slot].has_value()) {
+      index->Insert(store.slots[slot]->at(pos), slot);
+    }
+  }
+  join_indexes_.push_back(LeasedJoinIndex{std::move(index), 1});
+  return JoinIndexLease(this, join_indexes_.back().index.get());
+}
+
+void HeapRelation::ReleaseJoinIndex(const JoinHashIndex* index) const {
+  for (auto it = join_indexes_.begin(); it != join_indexes_.end(); ++it) {
+    if (it->index.get() != index) continue;
+    if (--it->leases == 0) join_indexes_.erase(it);
+    return;
+  }
+}
+
+size_t HeapRelation::JoinIndexFootprintBytes() const {
+  size_t bytes = 0;
+  for (const LeasedJoinIndex& leased : join_indexes_) {
+    bytes += leased.index->FootprintBytes();
+  }
+  return bytes;
+}
+
+std::vector<std::string> HeapRelation::AuditJoinIndexes() const {
+  std::vector<std::string> problems;
+  for (const LeasedJoinIndex& leased : join_indexes_) {
+    for (std::string& p : leased.index->Audit(*this)) {
+      problems.push_back(std::move(p));
+    }
+  }
+  return problems;
+}
+
+void HeapRelation::PlantJoinIndexEntryForTesting(std::string_view attribute,
+                                                 const Value& key,
+                                                 uint32_t slot) {
+  const int pos = schema_.IndexOf(attribute);
+  for (LeasedJoinIndex& leased : join_indexes_) {
+    if (static_cast<int>(leased.index->attribute()) == pos) {
+      leased.index->PlantBucketEntryForTesting(key, slot);
+    }
+  }
 }
 
 std::vector<std::string> HeapRelation::IndexedAttributes() const {

@@ -12,6 +12,7 @@
 #include "catalog/schema.h"
 #include "storage/btree_index.h"
 #include "storage/column_batch.h"
+#include "storage/join_hash_index.h"
 #include "storage/tuple.h"
 #include "util/status.h"
 
@@ -38,8 +39,9 @@ struct TupleStore {
 /// paper's replace'/delete' commands rely on (§5.1). Freed slots are recycled
 /// via a free list.
 ///
-/// Secondary B+tree indexes may be attached per attribute; all mutators keep
-/// them synchronized.
+/// Secondary B+tree indexes may be attached per attribute, and active rules
+/// lease join hash indexes (JoinHashIndex); all mutators keep both
+/// synchronized.
 class HeapRelation {
  public:
   HeapRelation(uint32_t id, std::string name, Schema schema);
@@ -99,8 +101,38 @@ class HeapRelation {
   /// Returns the index on `attribute`, or nullptr.
   const BTreeIndex* GetIndex(std::string_view attribute) const;
 
-  /// Names of indexed attributes (for introspection).
+  /// Names of B+tree-indexed attributes (for introspection). Join hash
+  /// indexes are not listed: they are rule access paths, not schema.
   std::vector<std::string> IndexedAttributes() const;
+
+  /// Leases the join hash index over `attribute`, building it from the live
+  /// tuples on the first lease; the index is dropped when its last lease is
+  /// released. Virtual α-memories lease one per equijoin attribute while
+  /// their rule is active. Like the column view, the index is an access
+  /// structure rather than relation contents, so it may be leased through
+  /// a const relation; leases are taken and released only on the
+  /// serialized engine thread, never while match tasks run.
+  [[nodiscard]] Result<JoinIndexLease> AcquireJoinIndex(
+      std::string_view attribute) const;
+
+  /// Number of attributes with a leased join hash index.
+  size_t num_join_indexes() const { return join_indexes_.size(); }
+
+  /// Approximate heap bytes of all leased join hash indexes.
+  size_t JoinIndexFootprintBytes() const;
+
+  /// Cross-checks every join hash index against the live tuples (see
+  /// JoinHashIndex::Audit). Empty = consistent.
+  std::vector<std::string> AuditJoinIndexes() const;
+
+  /// Test-only: plants `slot` into the join hash index bucket for `key` on
+  /// `attribute` (which must be leased), simulating a missed update.
+  void PlantJoinIndexEntryForTesting(std::string_view attribute,
+                                     const Value& key, uint32_t slot);
+
+  /// One past the highest slot ever used (live or free): the bound for
+  /// slot-order scans through Get.
+  size_t slot_count() const { return store_->slots.size(); }
 
   /// Checks that the tuple has the right arity and value types coercible to
   /// the schema (coercing in place: int literals into float columns).
@@ -140,7 +172,20 @@ class HeapRelation {
   std::string AuditColumnCache() const;
 
  private:
+  friend class JoinIndexLease;
+
   void InvalidateColumnCache();
+
+  /// Drops one lease on `index` (and the index with its last lease).
+  void ReleaseJoinIndex(const JoinHashIndex* index) const;
+
+  /// Adds / removes the tuple at `slot` in every join hash index.
+  void IndexJoinSlot(uint32_t slot);
+  void UnindexJoinSlot(uint32_t slot);
+  /// Re-keys `slot` from `before` to `after` in every join hash index (only
+  /// those over `listed` attributes when non-null).
+  void RekeyJoinSlot(uint32_t slot, const Tuple& before, const Tuple& after,
+                     const std::vector<bool>* listed);
 
   /// Clones the store when a snapshot still pins it; returns the (now
   /// private) store every mutator edits. Only called from the serialized
@@ -159,6 +204,12 @@ class HeapRelation {
   // Guarded by column_mu_ so concurrent snapshot readers can share it.
   mutable std::mutex column_mu_;
   mutable std::shared_ptr<const ColumnBatch> column_cache_;
+  struct LeasedJoinIndex {
+    std::unique_ptr<JoinHashIndex> index;
+    size_t leases = 0;
+  };
+  // Join hash indexes, one per leased attribute (see AcquireJoinIndex).
+  mutable std::vector<LeasedJoinIndex> join_indexes_;
 };
 
 }  // namespace ariel

@@ -342,7 +342,6 @@ EngineMetrics::EngineMetrics()
       alpha_removals(registry.RegisterCounter("alpha_removals")),
       virtual_alpha_scans(registry.RegisterCounter("virtual_alpha_scans")),
       join_probes(registry.RegisterCounter("join_probes")),
-      join_index_probes(registry.RegisterCounter("join_index_probes")),
       join_hash_probes(registry.RegisterCounter("join_hash_probes")),
       join_hash_hits(registry.RegisterCounter("join_hash_hits")),
       join_scan_fallbacks(registry.RegisterCounter("join_scan_fallbacks")),

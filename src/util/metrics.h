@@ -331,10 +331,9 @@ struct EngineMetrics {
   Counter alpha_arrivals;      // token arrivals at α-memories
   Counter alpha_insertions;    // entries materialized into α-memories
   Counter alpha_removals;      // entries removed from α-memories
-  Counter virtual_alpha_scans;  // base-relation recomputations of virtual α
+  Counter virtual_alpha_scans;  // full base-relation scans of virtual α
   Counter join_probes;         // join candidates enumerated
-  Counter join_index_probes;   // candidates found via B+tree equijoin paths
-  Counter join_hash_probes;    // keyed lookups into join hash indexes
+  Counter join_hash_probes;    // keyed lookups (α buckets, relation index)
   Counter join_hash_hits;      // candidates returned by those lookups
   Counter join_scan_fallbacks;  // memory probes that had to scan entries
 

@@ -39,6 +39,7 @@ struct RunCapture {
   std::map<std::string, std::vector<std::string>> relations;
   uint64_t batch_flushes = 0;
   uint64_t match_tasks = 0;
+  size_t virtual_memories = 0;
 };
 
 class BatchDeterminismTest : public ::testing::TestWithParam<BatchParams> {
@@ -118,8 +119,34 @@ class BatchDeterminismTest : public ::testing::TestWithParam<BatchParams> {
     }
   }
 
+  /// Writes to dept, which pay_join joins through a selection-free memory:
+  /// inserts, join-attribute replaces and deletes inside multi-token
+  /// transitions, plus an aborted re-key.
+  static void DriveSelectionFreeWrites(Database& db) {
+    auto Exec = [&db](const std::string& script) {
+      SCOPED_TRACE(script);
+      ASSERT_OK(db.Execute(script).status());
+    };
+    Exec("do\n"
+         "  append dept (dno = 5, budget = 15)\n"
+         "  append emp (name = \"d5\", sal = 44, dno = 5)\n"
+         "  replace dept (dno = 2) where dept.dno = 5\n"
+         "  replace emp (dno = 5) where emp.sal > 60\n"
+         "  delete dept where dept.budget > 70\n"
+         "end");
+    Exec("replace dept (dno = dept.dno + 1) where dept.dno >= 2");
+    Exec("append dept (dno = 1, budget = 5)");
+    Exec("delete dept where dept.dno = 3");
+    Exec("begin");
+    Exec("replace dept (dno = 4) where dept.dno = 1");
+    Exec("delete dept where dept.dno = 5");
+    Exec("abort");
+    Exec("replace dept (budget = 1) where dept.dno = 1");
+  }
+
   static RunCapture Run(const BatchParams& p, size_t batch_tokens,
-                        AlphaMemoryPolicy::Mode mode) {
+                        AlphaMemoryPolicy::Mode mode,
+                        bool selection_free_writes = false) {
     Metrics().registry.Reset();
     Metrics().firing_trace.Clear();
 
@@ -131,6 +158,7 @@ class BatchDeterminismTest : public ::testing::TestWithParam<BatchParams> {
     options.match_threads = batch_tokens == 0 ? 0 : p.threads;
     Database db(options);
     Drive(db, p.hash);
+    if (selection_free_writes) DriveSelectionFreeWrites(db);
 
     RunCapture capture;
     for (const FiringTraceEntry& e :
@@ -140,6 +168,9 @@ class BatchDeterminismTest : public ::testing::TestWithParam<BatchParams> {
                               std::to_string(e.instantiations));
     }
     for (const Rule* rule : db.rules().ActiveRules()) {
+      for (size_t v = 0; v < rule->network->num_vars(); ++v) {
+        if (rule->network->alpha(v)->is_virtual()) ++capture.virtual_memories;
+      }
       std::vector<std::string>& rows =
           capture.pnodes[rule->network->rule_name()];
       rule->network->pnode()->relation().ForEach(
@@ -192,6 +223,37 @@ TEST_P(BatchDeterminismTest, BatchedRunIsByteIdenticalToSerial) {
     EXPECT_FALSE(serial.relations.at("sink").empty());
   }
 }
+
+// The default policy makes pay_join's and peer_gap's selection-free
+// variables virtual, so batched match tasks probe the relations' join hash
+// indexes concurrently while dept is rewritten between batches.
+class BatchDeterminismSelectionFreeTest : public BatchDeterminismTest {};
+
+TEST_P(BatchDeterminismSelectionFreeTest, RelationWritesMatchSerial) {
+  const BatchParams p = GetParam();
+  RunCapture serial = Run(p, /*batch_tokens=*/0,
+                          AlphaMemoryPolicy::Mode::kAdaptive, true);
+  RunCapture batched = Run(p, /*batch_tokens=*/7,
+                           AlphaMemoryPolicy::Mode::kAdaptive, true);
+  EXPECT_GE(serial.virtual_memories, 4u);
+  EXPECT_EQ(batched.virtual_memories, serial.virtual_memories);
+  EXPECT_GT(batched.batch_flushes, 0u);
+  EXPECT_GT(batched.match_tasks, 0u);
+  EXPECT_EQ(batched.trace, serial.trace);
+  EXPECT_EQ(batched.pnodes, serial.pnodes);
+  EXPECT_EQ(batched.relations, serial.relations);
+  EXPECT_FALSE(serial.relations.at("sink").empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TwoThreads, BatchDeterminismSelectionFreeTest,
+    ::testing::Values(BatchParams{"t2_treat_hash", 2, JoinBackend::kTreat,
+                                  true},
+                      BatchParams{"t2_rete_hash", 2, JoinBackend::kRete,
+                                  true}),
+    [](const ::testing::TestParamInfo<BatchParams>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(BatchOptionsTest, EnvVarsOverrideDefaults) {
   setenv("ARIEL_BATCH_TOKENS", "5", 1);

@@ -8,6 +8,7 @@
 // self-joins, which exercise the ProcessedMemories protocol.
 
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -29,8 +30,8 @@ struct EquivalenceParams {
   const char* name;
   AlphaMemoryPolicy::Mode mode;
   int operations;
-  /// Create B+tree indexes on the join attributes, so virtual α-memory
-  /// joins take the §4.2 index-probe path instead of sequential scans.
+  /// Also create B+tree indexes on the join attributes, so their
+  /// maintenance runs beside the relation join hash indexes.
   bool with_indexes = false;
   /// Join-network algorithm (Rete maintains β chains incrementally).
   JoinBackend backend = JoinBackend::kTreat;
@@ -69,53 +70,76 @@ class NetworkEquivalenceTest
 
 TEST_P(NetworkEquivalenceTest, IncrementalMatchesRecompute) {
   const EquivalenceParams params = GetParam();
-  DatabaseOptions options;
-  options.alpha_policy.mode = params.mode;
-  options.alpha_policy.virtual_threshold = 4;  // adaptive picks both kinds
-  options.auto_activate_rules = false;  // activate after data is loaded
-  options.join_backend = params.backend;
-  Database db(options);
+  // The engine under test, and a classic-TREAT twin (all memories stored)
+  // that receives the identical operation stream. Pattern rules are checked
+  // against a from-scratch recompute; event rules, whose P-nodes depend on
+  // transition history, are checked against the twin.
+  auto make_db = [](AlphaMemoryPolicy::Mode mode, JoinBackend backend) {
+    DatabaseOptions options;
+    options.alpha_policy.mode = mode;
+    options.alpha_policy.virtual_threshold = 4;  // adaptive picks both kinds
+    options.auto_activate_rules = false;  // activate after data is loaded
+    options.join_backend = backend;
+    return std::make_unique<Database>(options);
+  };
+  std::unique_ptr<Database> db_ptr = make_db(params.mode, params.backend);
+  std::unique_ptr<Database> twin_ptr =
+      make_db(AlphaMemoryPolicy::Mode::kAllStored, JoinBackend::kTreat);
+  Database& db = *db_ptr;
+  const std::vector<Database*> both = {db_ptr.get(), twin_ptr.get()};
+  auto exec_both = [&](const std::string& cmd) {
+    for (Database* d : both) CheckOk(d->Execute(cmd).status());
+  };
 
-  CheckOk(db.Execute("create emp (name = string, sal = int, dno = int, "
-                     "jno = int)")
-              .status());
-  CheckOk(db.Execute("create dept (dno = int, name = string)").status());
-  CheckOk(db.Execute("create job (jno = int, paygrade = int)").status());
-  CheckOk(db.Execute("create sink (x = int)").status());
+  exec_both("create emp (name = string, sal = int, dno = int, jno = int)");
+  exec_both("create dept (dno = int, name = string)");
+  exec_both("create job (jno = int, paygrade = int)");
+  exec_both("create sink (x = int)");
   if (params.with_indexes) {
-    CheckOk(db.Execute("define index on emp (dno)").status());
-    CheckOk(db.Execute("define index on emp (jno)").status());
-    CheckOk(db.Execute("define index on dept (dno)").status());
-    CheckOk(db.Execute("define index on job (jno)").status());
+    // B+trees on the join attributes: the network probes its own join hash
+    // indexes, so these only add index maintenance beside them.
+    exec_both("define index on emp (dno)");
+    exec_both("define index on emp (jno)");
+    exec_both("define index on dept (dno)");
+    exec_both("define index on job (jno)");
   }
 
-  // Rules with actions that never fire (impossible guard relation keeps the
-  // recognize-act cycle quiet... actually: give them never-true actions is
-  // impossible; instead give actions appending to `sink`, and verify P-node
-  // state BEFORE cycles run by driving the gateway directly).
+  // Every rule appends to `sink`; the random stream drives the gateway
+  // directly, so no recognize-act cycle runs and P-nodes accumulate exactly
+  // the incremental match state (explicit transactions fire rules, but
+  // every one of them is aborted).
   struct RuleDef {
     const char* name;
     const char* condition;
+    bool pattern;  // checked against a recompute (else against the twin)
   };
   const RuleDef defs[] = {
       // one-variable selection (simple memory)
-      {"r_simple", "emp.sal > 40 and emp.sal <= 120"},
+      {"r_simple", "emp.sal > 40 and emp.sal <= 120", true},
       // classic two-variable join
-      {"r_join2", "emp.sal > 10 and emp.dno = dept.dno"},
+      {"r_join2", "emp.sal > 10 and emp.dno = dept.dno", true},
       // three-variable chain join with selections on both dimensions
       {"r_join3",
        "emp.sal > 5 and emp.dno = dept.dno and emp.jno = job.jno and "
-       "job.paygrade >= 2"},
+       "job.paygrade >= 2",
+       true},
       // self-join: employees in the same department with crossing salaries
       {"r_selfjoin",
-       "e1.sal > e2.sal and e1.dno = e2.dno from e1 in emp, e2 in emp"},
+       "e1.sal > e2.sal and e1.dno = e2.dno from e1 in emp, e2 in emp", true},
       // unselective predicate (drives the adaptive policy to virtual)
-      {"r_wide", "emp.sal > 0 and emp.dno = dept.dno"},
+      {"r_wide", "emp.sal > 0 and emp.dno = dept.dno", true},
+      // selection-free job joined to a selective emp
+      {"r_free_job", "emp.sal > 100 and emp.jno = job.jno", true},
+      // self-join of two selection-free variables on different attributes
+      {"r_free_self", "e1.dno = e2.jno from e1 in emp, e2 in emp", true},
+      // event variable joined to a selection-free one
+      {"r_free_event", "emp.dno = dept.dno", false},
   };
   for (const RuleDef& def : defs) {
-    std::string cmd = std::string("define rule ") + def.name + " if " +
-                      def.condition + " then append to sink (x = 1)";
-    CheckOk(db.Execute(cmd).status());  // install only (auto-activate off)
+    std::string cmd = std::string("define rule ") + def.name;
+    if (!def.pattern) cmd += " on replace emp(dno, sal)";
+    cmd += std::string(" if ") + def.condition + " then append to sink (x = 1)";
+    exec_both(cmd);  // install only (auto-activate off)
   }
 
   // Seed data, then activate (exercises priming too).
@@ -127,74 +151,112 @@ TEST_P(NetworkEquivalenceTest, IncrementalMatchesRecompute) {
         Value::Int(rng.UniformRange(1, 5)),
         Value::Int(rng.UniformRange(1, 4))});
   };
-  HeapRelation* emp = db.catalog().GetRelation("emp");
-  HeapRelation* dept = db.catalog().GetRelation("dept");
-  HeapRelation* job = db.catalog().GetRelation("job");
-  for (int i = 0; i < 12; ++i) {
-    CheckOk(db.transitions().Insert(emp, random_emp()).status());
-  }
+  auto rel = [](Database* d, const char* name) {
+    return d->catalog().GetRelation(name);
+  };
+  auto insert_both = [&](const char* name, const Tuple& tuple) {
+    for (Database* d : both) {
+      CheckOk(d->transitions().Insert(rel(d, name), tuple).status());
+    }
+  };
+  for (int i = 0; i < 12; ++i) insert_both("emp", random_emp());
   for (int d = 1; d <= 4; ++d) {
-    CheckOk(db.transitions()
-                .Insert(dept, Tuple(std::vector<Value>{
-                                  Value::Int(d),
-                                  Value::String("d" + std::to_string(d))}))
-                .status());
+    insert_both("dept", Tuple(std::vector<Value>{
+                            Value::Int(d),
+                            Value::String("d" + std::to_string(d))}));
   }
   for (int j = 1; j <= 3; ++j) {
-    CheckOk(db.transitions()
-                .Insert(job, Tuple(std::vector<Value>{Value::Int(j),
-                                                      Value::Int(j)}))
-                .status());
+    insert_both("job",
+                Tuple(std::vector<Value>{Value::Int(j), Value::Int(j)}));
   }
   for (const RuleDef& def : defs) {
-    CheckOk(db.rules().ActivateRule(def.name));
+    for (Database* d : both) CheckOk(d->rules().ActivateRule(def.name));
   }
 
   auto check_all = [&](int op) {
     for (const RuleDef& def : defs) {
       const Rule* rule = db.rules().GetRule(def.name);
-      auto recomputed =
-          rule->network->RecomputeInstantiations(&db.optimizer());
-      ASSERT_TRUE(recomputed.ok()) << recomputed.status().ToString();
-      ASSERT_EQ(PnodeContents(rule), Canonical(*recomputed))
-          << "rule " << def.name << " diverged after op " << op;
+      if (def.pattern) {
+        auto recomputed =
+            rule->network->RecomputeInstantiations(&db.optimizer());
+        ASSERT_TRUE(recomputed.ok()) << recomputed.status().ToString();
+        ASSERT_EQ(PnodeContents(rule), Canonical(*recomputed))
+            << "rule " << def.name << " diverged after op " << op;
+      } else {
+        ASSERT_EQ(PnodeContents(rule),
+                  PnodeContents(twin_ptr->rules().GetRule(def.name)))
+            << "rule " << def.name << " diverged from the twin after op "
+            << op;
+      }
     }
+    auto violations = db.AuditNetwork();
+    ASSERT_TRUE(violations.ok()) << violations.status().ToString();
+    ASSERT_TRUE(violations->empty())
+        << (*violations)[0].ToString() << " after op " << op;
   };
   check_all(-1);
 
-  // Random update stream through the gateway (no rule firing: P-nodes
-  // accumulate exactly the incremental match state).
+  // Random update stream through the gateway, mirrored onto the twin.
+  const char* const kRelations[] = {"emp", "emp", "emp", "dept", "job"};
   for (int op = 0; op < params.operations; ++op) {
     int choice = static_cast<int>(rng.Uniform(100));
-    HeapRelation* rel = (rng.Uniform(4) == 0) ? dept : emp;
-    std::vector<TupleId> tids = rel->AllTupleIds();
-    if (choice < 45 || tids.size() < 3) {
-      if (rel == emp) {
-        CheckOk(db.transitions().Insert(emp, random_emp()).status());
+    const char* name = kRelations[rng.Uniform(5)];
+    const std::string rel_name = name;
+    std::vector<TupleId> tids = rel(&db, name)->AllTupleIds();
+    if (choice < 6 && tids.size() >= 3) {
+      // Deletes inside an explicit transaction, then abort: rollback
+      // restores each tuple under its old id (InsertAt) and with it the
+      // relation join hash indexes and the memories over them.
+      const TupleId first = tids[rng.Uniform(tids.size())];
+      const TupleId second = tids[rng.Uniform(tids.size())];
+      for (Database* d : both) {
+        CheckOk(d->Execute("begin").status());
+        HeapRelation* r = rel(d, name);
+        CheckOk(d->transitions().Delete(r, first));
+        if (!(second == first)) CheckOk(d->transitions().Delete(r, second));
+        CheckOk(d->Execute("abort").status());
+      }
+    } else if (choice < 45 || tids.size() < 3) {
+      if (rel_name == "emp") {
+        insert_both(name, random_emp());
+      } else if (rel_name == "dept") {
+        insert_both(name, Tuple(std::vector<Value>{
+                              Value::Int(rng.UniformRange(1, 5)),
+                              Value::String("dx")}));
       } else {
-        CheckOk(db.transitions()
-                    .Insert(dept, Tuple(std::vector<Value>{
-                                      Value::Int(rng.UniformRange(1, 5)),
-                                      Value::String("dx")}))
-                    .status());
+        insert_both(name, Tuple(std::vector<Value>{
+                              Value::Int(rng.UniformRange(1, 5)),
+                              Value::Int(rng.UniformRange(1, 4))}));
       }
     } else if (choice < 70) {
       TupleId victim = tids[rng.Uniform(tids.size())];
-      CheckOk(db.transitions().Delete(rel, victim));
+      for (Database* d : both) {
+        CheckOk(d->transitions().Delete(rel(d, name), victim));
+      }
     } else {
+      // Replaces, most of them of a join attribute.
       TupleId victim = tids[rng.Uniform(tids.size())];
-      const Tuple* current = rel->Get(victim);
+      const Tuple* current = rel(&db, name)->Get(victim);
       ASSERT_NE(current, nullptr);
       Tuple next = *current;
-      if (rel == emp) {
+      std::vector<std::string> attrs;
+      if (rel_name == "emp") {
         next.at(1) = Value::Int(rng.UniformRange(0, 150));
-        if (rng.Bernoulli(0.5)) next.at(2) = Value::Int(rng.UniformRange(1, 5));
-        CheckOk(db.transitions().Update(rel, victim, std::move(next),
-                                        {"sal", "dno"}));
+        attrs = {"sal"};
+        if (rng.Bernoulli(0.5)) {
+          next.at(2) = Value::Int(rng.UniformRange(1, 5));
+          attrs.push_back("dno");
+        }
+        if (rng.Bernoulli(0.3)) {
+          next.at(3) = Value::Int(rng.UniformRange(1, 4));
+          attrs.push_back("jno");
+        }
       } else {
         next.at(0) = Value::Int(rng.UniformRange(1, 5));
-        CheckOk(db.transitions().Update(rel, victim, std::move(next),
-                                        {"dno"}));
+        attrs = {rel_name == "dept" ? "dno" : "jno"};
+      }
+      for (Database* d : both) {
+        CheckOk(d->transitions().Update(rel(d, name), victim, next, attrs));
       }
     }
     if (op % 7 == 0) check_all(op);

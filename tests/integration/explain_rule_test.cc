@@ -131,5 +131,30 @@ TEST(ExplainRuleShapeTest, ReportsBackendAndAlphaKinds) {
   }
 }
 
+// Under the default policy the selection-free dept joins through a virtual
+// memory; `explain rule` names the relation join hash index it probes and
+// how many distinct keys that index holds.
+TEST(ExplainRuleShapeTest, NamesTheRelationIndexAVirtualMemoryProbes) {
+  Database db;
+  ASSERT_OK(db.Execute("create emp (sal = int, dno = int)"));
+  ASSERT_OK(db.Execute("create dept (dno = int, lo = int)"));
+  ASSERT_OK(db.Execute("create sink (x = int)"));
+  ASSERT_OK(db.Execute("append dept (dno = 1, lo = 0)"));
+  ASSERT_OK(db.Execute("append dept (dno = 2, lo = 0)"));
+  ASSERT_OK(db.Execute("append dept (dno = 2, lo = 5)"));
+  ASSERT_OK(db.Execute("define rule watch if emp.sal > 10 and "
+                       "emp.dno = dept.dno then append to sink (x = 1)"));
+  auto explain = db.Execute("explain rule watch");
+  ASSERT_OK(explain);
+  const std::string& message = explain->message;
+  EXPECT_NE(message.find("alpha(dept in dept) [virtual]"), std::string::npos)
+      << message;
+  EXPECT_NE(message.find("probe dept.dno [relation hash, 2 keys] for dept"),
+            std::string::npos)
+      << message;
+  EXPECT_EQ(message.find("index probe available"), std::string::npos)
+      << message;
+}
+
 }  // namespace
 }  // namespace ariel

@@ -177,13 +177,18 @@ TEST_F(ObservabilityTest, VirtualMemoryProbesCountOnlyEmittedCandidates) {
   ASSERT_OK(exec("append emp (name = \"bob\", sal = 300.0, dno = 1)"));
   ASSERT_OK(exec("append dept (dno = 1, dname = \"sales\")"));
 
-  // The dept token scanned three emp base tuples but only the two passing
-  // emp.sal > 100.0 are join candidates. Both instantiations land in one
-  // cycle, so the rule fires once over both.
+  // The dept token probed emp's join hash index on dno and found all three
+  // emp base tuples, but only the two passing emp.sal > 100.0 are join
+  // candidates. Both instantiations land in one cycle, so the rule fires
+  // once over both.
   EXPECT_EQ(Count("join_probes"), 2u);
   EXPECT_EQ(Count("pnode_bindings_created"), 2u);
   EXPECT_EQ(Count("rules_fired"), 1u);
-  EXPECT_GT(Count("virtual_alpha_scans"), 0u);
+  // Every join probed a relation index (the two emp tokens found dept still
+  // empty); none scanned a base relation.
+  EXPECT_EQ(Count("join_hash_probes"), 3u);
+  EXPECT_EQ(Count("join_hash_hits"), 3u);
+  EXPECT_EQ(Count("virtual_alpha_scans"), 0u);
 }
 
 TEST_F(ObservabilityTest, DeltaCaseCountersForModifySequences) {

@@ -11,6 +11,7 @@
 #include "test_util.h"
 
 #include "catalog/catalog.h"
+#include "network/rule_network.h"
 #include "parser/parser.h"
 
 namespace ariel {
@@ -73,6 +74,44 @@ class JoinIndexTest : public ::testing::Test {
   Schema s_schema_;
   Scope scope_;
 };
+
+// Footprint accounting counts what a keyed memory holds beyond its entries:
+// the hash buckets and per-slot keys, plus the TID→slot map and any cached
+// column view every stored memory carries.
+TEST_F(JoinIndexTest, KeyedAlphaMemoryReportsMoreBytesThanUnkeyed) {
+  HeapRelation r(1, "r", r_schema_);
+  auto make = [&]() {
+    AlphaSpec spec;
+    spec.var_name = "r";
+    spec.relation = &r;
+    spec.kind = AlphaKind::kStored;
+    return AlphaMemory(std::move(spec), 0);
+  };
+  AlphaMemory keyed = make();
+  AlphaMemory unkeyed = make();
+  std::vector<JoinKeySpec> specs;
+  specs.push_back(RkSpec());
+  keyed.ConfigureJoinIndex(2, std::move(specs));
+  size_t entry_bytes = 0;
+  for (int64_t k = 0; k < 40; ++k) {
+    AlphaEntry entry{TupleId{1, static_cast<uint32_t>(k)},
+                     Tuple(std::vector<Value>{Value::Int(k % 8),
+                                              Value::String("x")}),
+                     Tuple()};
+    entry_bytes += sizeof(AlphaEntry) + entry.value.FootprintBytes() +
+                   entry.previous.FootprintBytes();
+    keyed.InsertEntry(entry);
+    unkeyed.InsertEntry(std::move(entry));
+  }
+  EXPECT_GT(unkeyed.FootprintBytes(), entry_bytes);  // the TID→slot map
+  EXPECT_GT(keyed.FootprintBytes(), unkeyed.FootprintBytes());
+  EXPECT_GT(keyed.FootprintBytes() - unkeyed.FootprintBytes(),
+            40 * (sizeof(Value) + sizeof(uint32_t)));  // slot keys + buckets
+
+  const size_t before_view = keyed.FootprintBytes();
+  ASSERT_NE(keyed.ColumnView(), nullptr);
+  EXPECT_GT(keyed.FootprintBytes(), before_view);
+}
 
 TEST_F(JoinIndexTest, AppendProbeAndSwapPopRemove) {
   JoinKeyIndex index;

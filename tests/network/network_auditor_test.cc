@@ -166,6 +166,63 @@ TEST_F(NetworkAuditorTest, DetectsPlantedJoinIndexBucketEntry) {
                         "hash index");
 }
 
+// Under the default policy the selection-free u joins through a virtual
+// memory that leases u's join hash index on y. A bucket entry planted under
+// a stale key (the dual of PlantBucketEntryForTesting for stored memories)
+// must surface as a join-index violation against the relation, and so must
+// a bucket that still lists a deleted tuple.
+TEST(RelationJoinIndexAuditTest, DetectsStaleAndDeadBucketEntries) {
+  Database db;
+  ASSERT_OK(db.Execute("create t (x = int)"));
+  ASSERT_OK(db.Execute("create u (y = int)"));
+  ASSERT_OK(db.Execute("create log (x = int)"));
+  ASSERT_OK(db.Execute("define rule pair if t.x > 10 and u.y = t.x "
+                       "then append to log (x = t.x)"));
+  ASSERT_OK(db.Execute("append u (y = 20)"));
+  ASSERT_OK(db.Execute("append u (y = 30)"));
+  ASSERT_OK(db.Execute("append t (x = 20)"));
+  const RuleNetwork& net = *db.rules().GetRule("pair")->network;
+  ASSERT_TRUE(net.alpha(1)->is_virtual()) << net.ToString();
+  HeapRelation* u = db.catalog().GetRelation("u");
+  ASSERT_EQ(u->num_join_indexes(), 1u);
+  auto clean = db.AuditNetwork();
+  ASSERT_OK(clean);
+  EXPECT_TRUE(clean->empty()) << (*clean)[0].ToString();
+
+  const TupleId first = u->AllTupleIds()[0];
+  u->PlantJoinIndexEntryForTesting("y", Value::Int(99), first.slot);
+  auto stale = db.AuditNetwork();
+  ASSERT_OK(stale);
+  ASSERT_FALSE(stale->empty());
+  for (const AuditViolation& v : *stale) {
+    EXPECT_EQ(v.kind, AuditViolationKind::kJoinIndexInconsistent)
+        << v.ToString();
+    EXPECT_EQ(v.rule, "relation u") << v.ToString();
+  }
+  EXPECT_NE((*stale)[0].detail.find("bucket 99 holds slot"),
+            std::string::npos)
+      << (*stale)[0].ToString();
+
+  Database db2;
+  ASSERT_OK(db2.Execute("create t (x = int)"));
+  ASSERT_OK(db2.Execute("create u (y = int)"));
+  ASSERT_OK(db2.Execute("create log (x = int)"));
+  ASSERT_OK(db2.Execute("define rule pair if t.x > 10 and u.y = t.x "
+                        "then append to log (x = t.x)"));
+  ASSERT_OK(db2.Execute("append u (y = 20)"));
+  ASSERT_OK(db2.Execute("append u (y = 30)"));
+  HeapRelation* u2 = db2.catalog().GetRelation("u");
+  const TupleId dying = u2->AllTupleIds()[1];
+  ASSERT_OK(db2.Execute("delete u where u.y = 30"));
+  u2->PlantJoinIndexEntryForTesting("y", Value::Int(30), dying.slot);
+  auto dead = db2.AuditNetwork();
+  ASSERT_OK(dead);
+  ASSERT_EQ(dead->size(), 1u);
+  EXPECT_EQ((*dead)[0].kind, AuditViolationKind::kJoinIndexInconsistent);
+  EXPECT_NE((*dead)[0].detail.find("dead slot"), std::string::npos)
+      << (*dead)[0].ToString();
+}
+
 TEST_F(NetworkAuditorTest, DetectsDanglingPnodeBinding) {
   Rule* rule = db_->rules().GetRule("pair");
   ASSERT_NE(rule, nullptr);

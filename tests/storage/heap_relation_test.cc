@@ -1,5 +1,7 @@
 #include "storage/heap_relation.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "test_util.h"
@@ -224,6 +226,118 @@ TEST(HeapRelationTest, PinsAcrossMutationsSeeDistinctStores) {
   EXPECT_NE(old_pin.get(), new_pin.get());
   EXPECT_EQ(old_pin->live_count, 1u);
   EXPECT_EQ(new_pin->live_count, 2u);
+}
+
+/// Slots of `rel`'s join hash index bucket for `key`, sorted.
+std::vector<uint32_t> Bucket(const JoinIndexLease& lease, const Value& key) {
+  const std::vector<uint32_t>* slots = lease->Find(key);
+  if (slots == nullptr) return {};
+  std::vector<uint32_t> sorted = *slots;
+  std::sort(sorted.begin(), sorted.end());
+  return sorted;
+}
+
+TEST(RelationJoinIndexTest, MaintainedByEveryMutator) {
+  HeapRelation rel(1, "emp", EmpSchema());
+  TupleId a = *rel.Insert(Emp("a", 10.0, 1));
+  TupleId b = *rel.Insert(Emp("b", 20.0, 2));
+  auto lease = rel.AcquireJoinIndex("DNO");  // built over existing data
+  ASSERT_OK(lease);
+  EXPECT_EQ(Bucket(*lease, Value::Int(1)), std::vector<uint32_t>{a.slot});
+  EXPECT_EQ((*lease)->num_keys(), 2u);
+
+  TupleId c = *rel.Insert(Emp("c", 30.0, 1));
+  EXPECT_EQ(Bucket(*lease, Value::Int(1)),
+            (std::vector<uint32_t>{a.slot, c.slot}));
+  // Int and float keys that compare equal share a bucket (kEq semantics).
+  EXPECT_EQ(Bucket(*lease, Value::Float(1.0)),
+            (std::vector<uint32_t>{a.slot, c.slot}));
+
+  // A listed update re-keys; an update that does not list dno keeps the key.
+  ASSERT_OK(rel.Update(a, Emp("a", 10.0, 2), nullptr));
+  EXPECT_EQ(Bucket(*lease, Value::Int(1)), std::vector<uint32_t>{c.slot});
+  const std::vector<std::string> sal_only = {"sal"};
+  ASSERT_OK(rel.Update(a, Emp("a", 11.0, 2), &sal_only));
+  const std::vector<std::string> dno_only = {"dno"};
+  ASSERT_OK(rel.Update(b, Emp("b", 20.0, 3), &dno_only));
+  EXPECT_EQ(Bucket(*lease, Value::Int(2)), std::vector<uint32_t>{a.slot});
+  EXPECT_EQ(Bucket(*lease, Value::Int(3)), std::vector<uint32_t>{b.slot});
+
+  // Delete then restore under the same id, as rollback does.
+  ASSERT_OK(rel.Delete(c));
+  EXPECT_EQ((*lease)->Find(Value::Int(1)), nullptr);  // empty bucket dropped
+  ASSERT_OK(rel.InsertAt(c, Emp("c", 30.0, 1)));
+  EXPECT_EQ(Bucket(*lease, Value::Int(1)), std::vector<uint32_t>{c.slot});
+  // A wholesale update that keeps the key (as a rollback's restore does)
+  // leaves the bucket as it was.
+  ASSERT_OK(rel.Update(c, Emp("c", 31.0, 1), nullptr));
+  EXPECT_EQ(Bucket(*lease, Value::Int(1)), std::vector<uint32_t>{c.slot});
+  EXPECT_TRUE(rel.AuditJoinIndexes().empty());
+}
+
+TEST(RelationJoinIndexTest, RemovalFromALargeBucketKeepsTheRest) {
+  HeapRelation rel(1, "emp", EmpSchema());
+  auto lease = rel.AcquireJoinIndex("dno");
+  ASSERT_OK(lease);
+  std::vector<TupleId> tids;
+  for (int i = 0; i < 100; ++i) {
+    tids.push_back(*rel.Insert(Emp("e" + std::to_string(i), i, 7)));
+  }
+  // Remove from the front, the middle and the back of the one bucket.
+  for (size_t i : {0u, 50u, 99u, 1u, 98u}) ASSERT_OK(rel.Delete(tids[i]));
+  EXPECT_EQ((*lease)->Find(Value::Int(7))->size(), 95u);
+  EXPECT_TRUE(rel.AuditJoinIndexes().empty());
+  // Freed slots are recycled and re-indexed under their new key.
+  TupleId reused = *rel.Insert(Emp("r", 1.0, 8));
+  EXPECT_EQ(Bucket(*lease, Value::Int(8)), std::vector<uint32_t>{reused.slot});
+  EXPECT_TRUE(rel.AuditJoinIndexes().empty());
+}
+
+TEST(RelationJoinIndexTest, LeasesAreCountedAndInvisibleToIndexListing) {
+  HeapRelation rel(1, "emp", EmpSchema());
+  ASSERT_OK(rel.Insert(Emp("a", 10.0, 1)).status());
+  auto first = rel.AcquireJoinIndex("dno");
+  auto second = rel.AcquireJoinIndex("dno");
+  ASSERT_OK(first);
+  ASSERT_OK(second);
+  EXPECT_EQ(first->get(), second->get());  // one shared index per attribute
+  EXPECT_EQ(rel.num_join_indexes(), 1u);
+  EXPECT_TRUE(rel.IndexedAttributes().empty());
+  EXPECT_GT(rel.JoinIndexFootprintBytes(), 0u);
+  EXPECT_FALSE(rel.AcquireJoinIndex("nonexistent").ok());
+
+  *first = JoinIndexLease();  // release one lease: the index stays
+  EXPECT_EQ(rel.num_join_indexes(), 1u);
+  {
+    JoinIndexLease moved = std::move(*second);
+    EXPECT_EQ(rel.num_join_indexes(), 1u);
+  }  // the last lease goes out of scope: the index is dropped
+  EXPECT_EQ(rel.num_join_indexes(), 0u);
+  EXPECT_EQ(rel.JoinIndexFootprintBytes(), 0u);
+}
+
+TEST(RelationJoinIndexTest, AuditFindsPlantedAndDeadEntries) {
+  HeapRelation rel(1, "emp", EmpSchema());
+  ASSERT_OK(rel.Insert(Emp("a", 10.0, 1)).status());
+  TupleId b = *rel.Insert(Emp("b", 20.0, 2));
+  auto lease = rel.AcquireJoinIndex("dno");
+  ASSERT_OK(lease);
+  ASSERT_OK(rel.Delete(b));
+  rel.PlantJoinIndexEntryForTesting("dno", Value::Int(2), b.slot);
+  std::vector<std::string> problems = rel.AuditJoinIndexes();
+  ASSERT_EQ(problems.size(), 1u);
+  EXPECT_NE(problems[0].find("dead slot"), std::string::npos) << problems[0];
+
+  HeapRelation fresh(2, "emp2", EmpSchema());
+  TupleId c = *fresh.Insert(Emp("c", 10.0, 1));
+  auto fresh_lease = fresh.AcquireJoinIndex("dno");
+  ASSERT_OK(fresh_lease);
+  fresh.PlantJoinIndexEntryForTesting("dno", Value::Int(5), c.slot);
+  problems = fresh.AuditJoinIndexes();
+  ASSERT_EQ(problems.size(), 2u);  // wrong key, and listed twice
+  EXPECT_NE(problems[0].find("whose tuple holds 1"), std::string::npos)
+      << problems[0];
+  EXPECT_NE(problems[1].find("2 times"), std::string::npos) << problems[1];
 }
 
 }  // namespace
