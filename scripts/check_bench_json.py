@@ -12,7 +12,8 @@ Each report must be valid JSON with:
   - "wall_time_seconds": non-negative number
   - "counters": object with at least MIN_COUNTERS integer entries
   - "results": numeric headline values; optional in general but required
-    (non-empty) for the benches in REQUIRE_RESULTS
+    (non-empty) for the benches in REQUIRE_RESULTS, with the keys listed
+    in REQUIRE_KEYS
 
 Exits 1 on the first malformed report; CI runs this over the smoke-mode
 bench artifacts so a bench that stops reporting fails the build.
@@ -43,6 +44,18 @@ REQUIRE_RESULTS = {
     "fig11_three_var_rules",
     "virtual_alpha",
     "treat_vs_atreat",
+    "txn_overhead",
+}
+
+# Result keys (or key prefixes, ending in "_n": one key per emp count) a
+# bench must report, smoke mode included.
+REQUIRE_KEYS = {
+    "txn_overhead": [
+        "commit_overhead_pct_b0",
+        "commit_overhead_pct_b1024",
+        "abort_us_per_record_b0_n",
+        "abort_us_per_record_b1024_n",
+    ],
 }
 
 # `bench/<name>` where the path ends at the name (excludes directories
@@ -98,6 +111,12 @@ def check(path: str) -> None:
     if bench in REQUIRE_RESULTS and not results:
         fail(path, f'"{bench}" must report a non-empty "results" object '
                    "(BenchReporter::AddResult)")
+    for key in REQUIRE_KEYS.get(bench, []):
+        found = (any(k.startswith(key) for k in results) if key.endswith("_n")
+                 else key in results)
+        if not found:
+            fail(path, f'"{bench}" results lack "{key}"'
+                       + ("…" if key.endswith("_n") else ""))
 
     counters = report.get("counters")
     if not isinstance(counters, dict):

@@ -294,7 +294,7 @@ std::string Database::RenderStats() const {
   os << "engine statistics:\n" << m.registry.Render();
   os << "batch pipeline: batch_tokens=" << options_.batch_tokens
      << ", match_threads=" << options_.match_threads
-     << (options_.batch_tokens == 0 ? " (per-token propagation)" : "")
+     << (options_.batch_tokens <= 1 ? " (flush every token)" : "")
      << "\n";
   os << "transactions: on_action_error="
      << ActionErrorPolicyToString(options_.on_action_error)
@@ -590,6 +590,14 @@ Result<std::string> Database::ExplainPlan(std::string_view command_text) {
 // --- TransactionHooks ------------------------------------------------------
 
 Status Database::ApplyUndo(UndoRecord* record) {
+  // Compensating tokens batch like forward ones. The tuple records flush
+  // before their own storage step when a rule virtually scans the
+  // relation; every other record changes the catalog or a conflict set,
+  // so the tokens emitted before it propagate first.
+  if (record->kind != UndoKind::kInsert && record->kind != UndoKind::kDelete &&
+      record->kind != UndoKind::kUpdate) {
+    ARIEL_RETURN_NOT_OK(transitions_->FlushTokenBatch());
+  }
   switch (record->kind) {
     case UndoKind::kInsert: {
       HeapRelation* rel = catalog_.GetRelationById(record->relation_id);
@@ -662,7 +670,7 @@ void Database::TruncatePendingAlerts(size_t mark) {
 
 void Database::BeginCompensation() { transitions_->BeginCompensation(); }
 
-void Database::EndCompensation() { transitions_->EndCompensation(); }
+Status Database::EndCompensation() { return transitions_->EndCompensation(); }
 
 std::string Database::DebugDumpState() {
   std::ostringstream os;

@@ -47,12 +47,12 @@ struct DatabaseOptions {
   ConflictStrategy conflict_strategy = ConflictStrategy::kDefinitionOrder;
   /// Δ-set batching: accumulate up to this many tokens per transition and
   /// propagate them as one selection-network pass plus per-rule match stage.
-  /// 0 (default) = per-token propagation, byte-for-byte the paper's
-  /// behaviour. Overridable with the ARIEL_BATCH_TOKENS env var.
+  /// 0 (default) or 1: flush every token, the paper's order. Overridable
+  /// with the ARIEL_BATCH_TOKENS env var.
   size_t batch_tokens = 0;
   /// Worker threads for the parallel per-rule match stage of a batch flush
   /// (the calling thread also participates). 0 = serial matching. Only
-  /// meaningful with batch_tokens > 0; results are byte-identical at every
+  /// meaningful with batch_tokens > 1; results are byte-identical at every
   /// thread count. Overridable with the ARIEL_MATCH_THREADS env var.
   size_t match_threads = 0;
   /// What a failing rule action does to the enclosing top-level command:
@@ -220,7 +220,7 @@ class Database : private TransactionHooks {
   size_t PendingAlertMark() const override;
   void TruncatePendingAlerts(size_t mark) override;
   void BeginCompensation() override;
-  void EndCompensation() override;
+  Status EndCompensation() override;
 
   /// Rebuilds the system-catalog snapshot relations.
   Status RefreshSystemCatalogs();

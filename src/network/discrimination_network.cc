@@ -1,7 +1,6 @@
 #include "network/discrimination_network.h"
 
 #include <algorithm>
-#include <span>
 #include <utility>
 
 #include "util/metrics.h"
@@ -57,141 +56,97 @@ const std::vector<RuleNetwork*>& DiscriminationNetwork::PruneAgenda() {
   return agenda_;
 }
 
-void DiscriminationNetwork::NoteArrival(RuleNetwork* rule) {
-  ++arrivals_;
-  Metrics().alpha_arrivals.Increment();
-  if (rule->has_dynamic_memories() && !rule->dirty_dynamic()) {
-    rule->set_dirty_dynamic(true);
-    dirty_dynamic_rules_.push_back(rule);
-  }
-}
-
-namespace {
-
-/// One rule's share of a propagation: its arrivals in token order and the
-/// outcome of running them.
-struct RuleWork {
-  RuleNetwork* rule = nullptr;
-  std::vector<RuleNetwork::Arrival> arrivals;
-  Status status;
-  uint32_t failed_token = 0;
-};
-
-/// Error precedence: the failure at the earliest token, the lower rule
-/// ordinal breaking ties. Per-token propagation reports the same failure,
-/// since a rule's outcome on a token depends only on its own earlier
-/// arrivals.
-Status FirstFailure(const std::vector<RuleWork>& works) {
-  const RuleWork* first = nullptr;
-  for (const RuleWork& work : works) {
-    if (work.status.ok()) continue;
-    if (first == nullptr ||
-        std::pair(work.failed_token, work.rule->ordinal()) <
-            std::pair(first->failed_token, first->rule->ordinal())) {
-      first = &work;
-    }
-  }
-  return first == nullptr ? Status::OK() : first->status;
-}
-
-}  // namespace
-
-Status DiscriminationNetwork::ProcessToken(const Token& token) {
-  ScopedTimer timer(Metrics().token_process_ns);
-  ++tokens_processed_;
-  if (token_listener_) token_listener_(token);
-  ARIEL_ASSIGN_OR_RETURN(std::vector<ConditionMatch> matches,
-                         selection_.Match(token));
-  const uint64_t epoch = AdvanceEpoch();
-  token_arrivals_.clear();
-  for (const ConditionMatch& match : matches) {
-    NoteArrival(match.rule);
-    token_arrivals_.push_back({0, static_cast<uint32_t>(match.alpha_ordinal)});
-  }
-  // Matches come out in registration-id order and a rule's conditions are
-  // registered contiguously, so each rule's arrivals form one run. Every
-  // run executes, and the lowest ordinal's failure wins: ProcessBatch's
-  // precedence for a batch of one.
-  Status failure;
-  const RuleNetwork* failed_rule = nullptr;
-  for (size_t begin = 0, end = 0; begin < matches.size(); begin = end) {
-    RuleNetwork* rule = matches[begin].rule;
-    while (end < matches.size() && matches[end].rule == rule) ++end;
-    uint32_t failed_token = 0;
-    Status status = rule->ArriveAll(
-        {&token, 1}, std::span(token_arrivals_).subspan(begin, end - begin),
-        epoch, &failed_token);
-    Schedule(rule);
-    if (!status.ok() &&
-        (failed_rule == nullptr || rule->ordinal() < failed_rule->ordinal())) {
-      failed_rule = rule;
-      failure = std::move(status);
-    }
-  }
-  return failure;
-}
-
-Status DiscriminationNetwork::ProcessBatch(const std::vector<Token>& tokens) {
+Status DiscriminationNetwork::ProcessBatch(std::span<const Token> tokens) {
   if (tokens.empty()) return Status::OK();
   EngineMetrics& m = Metrics();
+  ScopedTimer timer(m.token_process_ns);
   m.batch_flushes.Increment();
   m.batch_tokens_per_flush.Observe(tokens.size());
+  for (const Token& token : tokens) {
+    ++tokens_processed_;
+    if (token_listener_) token_listener_(token);
+  }
 
   // Stage 1: classify the whole batch through the selection network, then
-  // run the listener and arrival bookkeeping in token order — the same
-  // observable order per-token propagation produces — while routing each
-  // rule's share of the batch into one work item.
-  std::vector<std::vector<ConditionMatch>> matches;
-  {
-    ScopedTimer timer(m.batch_select_ns);
-    ARIEL_ASSIGN_OR_RETURN(matches, selection_.MatchBatch(tokens));
-  }
+  // route each rule's share of the batch, in token order, into one work
+  // item. A rule's work slot lives on the rule for the flush; a rule with
+  // dynamic memories joins the dirty set when it first gets one.
+  ARIEL_RETURN_NOT_OK(selection_.MatchBatch(tokens, &matches_));
   const uint64_t first_epoch = epoch_ + 1;
   epoch_ += tokens.size();
-  std::unordered_map<const RuleNetwork*, size_t> work_of;
-  std::vector<RuleWork> works;
+  size_t num_works = 0;
+  size_t num_arrivals = 0;
   for (size_t i = 0; i < tokens.size(); ++i) {
-    ++tokens_processed_;
-    if (token_listener_) token_listener_(tokens[i]);
-    for (const ConditionMatch& match : matches[i]) {
-      NoteArrival(match.rule);
-      auto [it, fresh] = work_of.try_emplace(match.rule, works.size());
-      if (fresh) works.emplace_back().rule = match.rule;
-      works[it->second].arrivals.push_back(
+    num_arrivals += matches_[i].size();
+    for (const ConditionMatch& match : matches_[i]) {
+      RuleNetwork* rule = match.rule;
+      size_t slot = rule->work_slot();
+      if (slot == RuleNetwork::kNoWorkSlot) {
+        slot = num_works++;
+        if (slot == works_.size()) works_.emplace_back();
+        RuleWork& work = works_[slot];
+        work.rule = rule;
+        work.arrivals.clear();
+        work.status = Status::OK();
+        rule->set_work_slot(slot);
+        if (rule->has_dynamic_memories() && !rule->dirty_dynamic()) {
+          rule->set_dirty_dynamic(true);
+          dirty_dynamic_rules_.push_back(rule);
+        }
+      }
+      works_[slot].arrivals.push_back(
           {static_cast<uint32_t>(i),
            static_cast<uint32_t>(match.alpha_ordinal)});
     }
   }
+  arrivals_ += num_arrivals;
+  m.alpha_arrivals.Increment(num_arrivals);
 
   // Stage 2: one task per matched rule, writing its own P-node. Rules own
   // disjoint α/β-memories and P-nodes and their match stamps do not depend
   // on evaluation order, so tasks touch no shared mutable state beyond
   // relaxed metric counters; base relations are read-only for the whole
   // flush (the hazard flush in TransitionManager guarantees it). Without a
-  // pool the same tasks run inline, in order. The undo log is shared, so
-  // every matched P-node journals here, before any task can write it.
-  m.match_tasks.Increment(works.size());
-  std::vector<ThreadPool::Task> tasks;
-  tasks.reserve(works.size());
-  for (RuleWork& work : works) {
-    work.rule->pnode()->Journal();
-    tasks.push_back([&work, &tokens, first_epoch] {
-      work.status = work.rule->ArriveAll(tokens, work.arrivals, first_epoch,
-                                         &work.failed_token);
-    });
+  // pool, and for a lone token or rule, whose work never pays for waking
+  // the workers, the work runs inline, in order.
+  m.match_tasks.Increment(num_works);
+  auto run = [&tokens, first_epoch](RuleWork& work) {
+    work.status = work.rule->ArriveAll(tokens, work.arrivals, first_epoch,
+                                       &work.failed_token);
+  };
+  if (pool_ == nullptr || tokens.size() < 2 || num_works < 2) {
+    for (size_t w = 0; w < num_works; ++w) run(works_[w]);
+  } else {
+    std::vector<ThreadPool::Task> tasks;
+    tasks.reserve(num_works);
+    for (size_t w = 0; w < num_works; ++w) {
+      tasks.push_back([&run, work = &works_[w]] { run(*work); });
+    }
+    const uint64_t steals_before = pool_->steals();
+    pool_->RunAll(std::move(tasks));
+    m.match_steal_count.Increment(pool_->steals() - steals_before);
   }
-  {
-    ScopedTimer timer(m.batch_match_ns);
-    if (pool_ == nullptr) {
-      for (ThreadPool::Task& task : tasks) task();
-    } else {
-      const uint64_t steals_before = pool_->steals();
-      pool_->RunAll(std::move(tasks));
-      m.match_steal_count.Increment(pool_->steals() - steals_before);
+
+  // The undo log is shared, so the P-node saves the tasks captured are
+  // appended here, serially and in rule order: the log's content does not
+  // depend on the thread count. Error precedence: the failure at the
+  // earliest token, the lower rule ordinal breaking ties — what
+  // propagating the tokens one at a time reports, since a rule's outcome on
+  // a token depends only on its own earlier arrivals.
+  const RuleWork* failed = nullptr;
+  for (size_t w = 0; w < num_works; ++w) {
+    RuleWork& work = works_[w];
+    work.rule->pnode()->PublishJournal();
+    work.rule->set_work_slot(RuleNetwork::kNoWorkSlot);
+    Schedule(work.rule);
+    if (!work.status.ok() &&
+        (failed == nullptr ||
+         std::pair(work.failed_token, work.rule->ordinal()) <
+             std::pair(failed->failed_token, failed->rule->ordinal()))) {
+      failed = &work;
     }
   }
-  for (RuleWork& work : works) Schedule(work.rule);
-  return FirstFailure(works);
+  return failed == nullptr ? Status::OK() : failed->status;
 }
 
 void DiscriminationNetwork::OnTransitionEnd() {

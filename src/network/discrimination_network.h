@@ -2,6 +2,7 @@
 #define ARIEL_NETWORK_DISCRIMINATION_NETWORK_H_
 
 #include <functional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -37,30 +38,27 @@ class DiscriminationNetwork {
   /// retracted) and returns the rest, in no particular order.
   const std::vector<RuleNetwork*>& PruneAgenda();
 
-  /// Propagates one token under the next match epoch: the selection network
-  /// finds the α-memories it reaches; each arrival updates the memory, joins
-  /// (for insertions), and maintains the P-node. ProcessedMemories grows
-  /// across a rule's arrivals of the same token, implementing the paper's
-  /// virtual-memory self-join protocol (RuleNetwork::ArriveAll).
-  [[nodiscard]] Status ProcessToken(const Token& token);
-
-  /// Propagates a whole token batch (a TransitionManager flush); token i
-  /// takes match epoch base + i, exactly the epoch ProcessToken would give
-  /// it:
+  /// The one way tokens reach the network: propagates a token sequence (a
+  /// TransitionManager flush, often of one token) under consecutive match
+  /// epochs, token i taking base + i:
   ///   stage 1 — the selection network classifies every token in one pass
   ///             (MatchBatch; one ISL descent per distinct constant
   ///             partition), and each rule's arrivals are collected in
   ///             token order;
   ///   stage 2 — one task per matched rule runs RuleNetwork::ArriveAll,
   ///             writing its own P-node: fanned out across the pool, or
-  ///             inline in order without one. Each matched rule's P-node is
-  ///             journaled (PNode::Journal) serially beforehand, so the
-  ///             tasks never append to the undo log and the log's content
-  ///             does not depend on the thread count.
-  /// The result is byte-identical to calling ProcessToken per token: rules
-  /// own disjoint memories, each rule sees its arrivals in token order, and
-  /// a P-node's match stamps depend on the token, not on when the task ran.
-  [[nodiscard]] Status ProcessBatch(const std::vector<Token>& tokens);
+  ///             inline in order without one. A P-node's first write in a
+  ///             frame captures its journal save privately; the saves are
+  ///             appended to the undo log serially afterwards
+  ///             (PNode::PublishJournal), so the log's content does not
+  ///             depend on the thread count.
+  /// ArriveAll's ProcessedMemories grows across a rule's arrivals of one
+  /// token, implementing the paper's virtual-memory self-join protocol.
+  /// Any split of a token sequence into flushes gives byte-identical
+  /// results: rules own disjoint memories, each rule sees its arrivals in
+  /// token order, and a P-node's match stamps depend on the token, not on
+  /// when the task ran.
+  [[nodiscard]] Status ProcessBatch(std::span<const Token> tokens);
 
   /// Installs the worker pool for stage 2 (nullptr = inline matching).
   void ConfigureBatching(ThreadPool* pool) { pool_ = pool; }
@@ -108,9 +106,14 @@ class DiscriminationNetwork {
   }
 
  private:
-  /// Bookkeeping shared by ProcessToken and ProcessBatch: arrival counters
-  /// and the dirty-dynamic-rule set.
-  void NoteArrival(RuleNetwork* rule);
+  /// One rule's share of a flush: its arrivals in token order and the
+  /// outcome of running them.
+  struct RuleWork {
+    RuleNetwork* rule = nullptr;
+    std::vector<RuleNetwork::Arrival> arrivals;
+    Status status;
+    uint32_t failed_token = 0;
+  };
 
   TokenListener token_listener_;
   SelectionNetwork selection_;
@@ -120,8 +123,10 @@ class DiscriminationNetwork {
   std::vector<RuleNetwork*> agenda_;
   /// relation id → number of active virtual α-memories scanning it.
   std::unordered_map<uint32_t, size_t> virtual_scan_relations_;
-  /// ProcessToken's arrival list, kept to reuse its capacity.
-  std::vector<RuleNetwork::Arrival> token_arrivals_;
+  /// ProcessBatch's per-token matches and per-rule work, kept across
+  /// flushes to reuse their capacity.
+  std::vector<std::vector<ConditionMatch>> matches_;
+  std::vector<RuleWork> works_;
   uint64_t epoch_ = 0;
   uint64_t tokens_processed_ = 0;
   uint64_t arrivals_ = 0;

@@ -30,7 +30,7 @@ Status PNode::Insert(const Row& row, MatchStamp stamp) {
   if (row.num_vars() != vars_.size()) {
     return Status::Internal("P-node row arity mismatch");
   }
-  Journal();
+  CaptureJournal();
   Tuple out;
   for (size_t v = 0; v < vars_.size(); ++v) {
     if (!row.filled[v]) {
@@ -77,7 +77,7 @@ size_t PNode::RemoveByTid(size_t var_ordinal, TupleId tid) {
       // RemoveByTid must delete.
       const Tuple* t = relation_->Get(rid);
       if (t != nullptr && t->at(tid_col).int_value() == encoded) {
-        Journal();
+        CaptureJournal();
         ARIEL_IGNORE_STATUS(relation_->Delete(rid));  // id just checked
         ++removed;
       }
@@ -172,15 +172,24 @@ void PNode::AttachJournal(UndoLog* undo) {
   saved_seq_ = attach_seq_ = undo->frame_seq();
 }
 
-void PNode::Journal() {
+void PNode::CaptureJournal() {
   if (undo_ == nullptr || !undo_->enabled() ||
       saved_seq_ == undo_->frame_seq()) {
     return;
   }
   saved_seq_ = undo_->frame_seq();
-  undo_->AppendPNodeState(rule_name_, attach_seq_,
-                          std::make_unique<State>(CaptureState()));
+  unpublished_ = std::make_unique<State>(CaptureState());
   Metrics().txn_pnode_saves.Increment();
+}
+
+void PNode::PublishJournal() {
+  if (unpublished_ == nullptr) return;
+  undo_->AppendPNodeState(rule_name_, attach_seq_, std::move(unpublished_));
+}
+
+void PNode::Journal() {
+  CaptureJournal();
+  PublishJournal();
 }
 
 Row PNode::ToRow(const Tuple& pnode_tuple) const {

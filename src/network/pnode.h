@@ -127,13 +127,22 @@ class PNode {
   void AttachJournal(UndoLog* undo);
 
   /// Saves the conflict set unless the innermost frame already holds a
-  /// save. Every write calls it first; the rule manager also calls it
-  /// before tearing a network down. Batch match tasks must not be the
-  /// first writer in a frame (the undo log is not thread-safe), so the
-  /// discrimination network journals every matched rule before fanning out.
+  /// save, appending it to the undo log at once. The serial writers (drain,
+  /// clear, detach) call it first; the rule manager also calls it before
+  /// tearing a network down.
   void Journal();
 
+  /// Appends the save that Insert or RemoveByTid captured, if any. Those
+  /// two run inside match tasks, which must not touch the shared undo log:
+  /// a P-node's first write in a frame captures its save privately, and
+  /// the discrimination network publishes the saves serially, in rule
+  /// order, once the match stage is done. A P-node no token writes is
+  /// never captured.
+  void PublishJournal();
+
  private:
+  /// Captures the save Journal would append, without appending it.
+  void CaptureJournal();
   void ClearPostings();
   /// Deletes every row without journaling (Clear and RestoreState).
   void DeleteRows();
@@ -153,6 +162,7 @@ class PNode {
   UndoLog* undo_ = nullptr;  // null = not journaled
   uint64_t saved_seq_ = 0;   // frame seq of the last save
   uint64_t attach_seq_ = 0;  // frame seq at AttachJournal
+  std::unique_ptr<State> unpublished_;  // CaptureJournal's pending save
 };
 
 }  // namespace ariel

@@ -237,13 +237,12 @@ class RuleNetwork {
     uint32_t alpha_ordinal;
   };
 
-  /// The per-rule arrival routine shared by per-token and batch
-  /// propagation. Runs `arrivals` (in token order) through Arrive, with
-  /// ProcessedMemories reset at each new token; P-node insertions made for
-  /// tokens[i] are stamped {first_epoch + i, ordinal()}. Touches only this
-  /// rule's state, so different rules may run concurrently. Stops at the
-  /// first failure and reports the failing token's index in
-  /// `*failed_token`.
+  /// The per-rule arrival routine of a ProcessBatch flush. Runs `arrivals`
+  /// (in token order) through Arrive, with ProcessedMemories reset at each
+  /// new token; P-node insertions made for tokens[i] are stamped
+  /// {first_epoch + i, ordinal()}. Touches only this rule's state, so
+  /// different rules may run concurrently. Stops at the first failure and
+  /// reports the failing token's index in `*failed_token`.
   [[nodiscard]] Status ArriveAll(std::span<const Token> tokens,
                                  std::span<const Arrival> arrivals,
                                  uint64_t first_epoch, uint32_t* failed_token);
@@ -281,6 +280,12 @@ class RuleNetwork {
   /// Membership flag of DiscriminationNetwork's conflict-set agenda.
   bool scheduled() const { return scheduled_; }
   void set_scheduled(bool scheduled) { scheduled_ = scheduled; }
+
+  /// This rule's work item in the ProcessBatch flush under way
+  /// (kNoWorkSlot between flushes).
+  static constexpr size_t kNoWorkSlot = static_cast<size_t>(-1);
+  size_t work_slot() const { return work_slot_; }
+  void set_work_slot(size_t slot) { work_slot_ = slot; }
 
   /// Loads stored α-memories and the P-node from current database contents
   /// (rule activation; §6 "priming"). Dynamic memories stay empty; the
@@ -481,6 +486,7 @@ class RuleNetwork {
   bool has_dynamic_ = false;
   bool dirty_dynamic_ = false;
   bool scheduled_ = false;
+  size_t work_slot_ = kNoWorkSlot;
   LastTrigger last_trigger_;
 };
 

@@ -193,43 +193,18 @@ Status SelectionNetwork::VerifyAndCollect(
   return Status::OK();
 }
 
-Result<std::vector<ConditionMatch>> SelectionNetwork::Match(
-    const Token& token) const {
-  std::vector<ConditionMatch> out;
-  auto rel_it = relations_.find(token.relation_id);
-  if (rel_it == relations_.end()) return out;
-  const PerRelation& per_rel = rel_it->second;
-  EngineMetrics& m = Metrics();
-  m.selection_tokens.Increment();
-  m.selection_residual_checks.Increment(per_rel.residual.size());
-
-  // Candidate ids from the attribute interval indexes plus the residuals;
-  // verified in registration-id order for deterministic arrival order.
-  std::vector<int64_t> candidates = per_rel.residual;
-  for (const auto& [attr_pos, index] : per_rel.attr_indexes) {
-    if (attr_pos < token.value.size()) {
-      m.selection_stabs.Increment();
-      index->Stab(token.value.at(attr_pos), &candidates);
-    }
-  }
-  std::sort(candidates.begin(), candidates.end());
-
-  for (int64_t id : candidates) {
-    ARIEL_RETURN_NOT_OK(VerifyAndCollect(token, per_rel.nodes.at(id),
-                                         /*mask=*/nullptr, 0, &out));
-  }
-  return out;
-}
-
-Result<std::vector<std::vector<ConditionMatch>>> SelectionNetwork::MatchBatch(
-    const std::vector<Token>& tokens) const {
-  std::vector<std::vector<ConditionMatch>> out(tokens.size());
+Status SelectionNetwork::MatchBatch(
+    std::span<const Token> tokens,
+    std::vector<std::vector<ConditionMatch>>* out) const {
+  out->resize(tokens.size());
+  for (std::vector<ConditionMatch>& matches : *out) matches.clear();
   EngineMetrics& m = Metrics();
 
   // Stab cache per interval index: tokens sharing an attribute value form a
   // constant-partition and descend the skip list once. The indexes cannot
   // change mid-batch (rule DDL never runs inside a transition), so cached id
-  // sets stay valid for the whole batch.
+  // sets stay valid for the whole batch. A single token stabs directly.
+  const bool cache_stabs = tokens.size() > 1;
   std::unordered_map<const IntervalSkipList*,
                      std::unordered_map<Value, std::vector<int64_t>, ValueHash>>
       stab_cache;
@@ -239,15 +214,18 @@ Result<std::vector<std::vector<ConditionMatch>>> SelectionNetwork::MatchBatch(
   // each vector-compiled condition that comes up as a candidate evaluates
   // once per group (a mask consulted by batch position) instead of once per
   // token on a scratch row. Duplicate tids in a batch are fine — masks are
-  // positional, not keyed by tid.
+  // positional, not keyed by tid. No group of a smaller batch can reach the
+  // threshold, so those skip the grouping.
   struct RelGroup {
     std::vector<size_t> token_idx;  // positions into `tokens`
     std::shared_ptr<const ColumnBatch> batch;
     std::unordered_map<const NodeInfo*, std::vector<uint8_t>> masks;
   };
+  const bool columnar =
+      columnar_exec_ && tokens.size() >= kColumnarClassifyMinTokens;
   std::unordered_map<uint32_t, RelGroup> groups;
-  std::vector<size_t> group_pos(columnar_exec_ ? tokens.size() : 0, 0);
-  if (columnar_exec_) {
+  std::vector<size_t> group_pos(columnar ? tokens.size() : 0, 0);
+  if (columnar) {
     for (size_t i = 0; i < tokens.size(); ++i) {
       RelGroup& group = groups[tokens[i].relation_id];
       group_pos[i] = group.token_idx.size();
@@ -256,7 +234,7 @@ Result<std::vector<std::vector<ConditionMatch>>> SelectionNetwork::MatchBatch(
   }
   auto mask_for = [&](const Token& token,
                       const NodeInfo& node) -> const std::vector<uint8_t>* {
-    if (!columnar_exec_ || node.vector_selection == nullptr) return nullptr;
+    if (!columnar || node.vector_selection == nullptr) return nullptr;
     RelGroup& group = groups.at(token.relation_id);
     if (group.token_idx.size() < kColumnarClassifyMinTokens) return nullptr;
     auto mask_it = group.masks.find(&node);
@@ -278,6 +256,9 @@ Result<std::vector<std::vector<ConditionMatch>>> SelectionNetwork::MatchBatch(
     return &mask_it->second;
   };
 
+  // Candidate ids from the attribute interval indexes plus the residuals;
+  // verified in registration-id order for deterministic arrival order.
+  std::vector<int64_t> candidates;
   for (size_t i = 0; i < tokens.size(); ++i) {
     const Token& token = tokens[i];
     auto rel_it = relations_.find(token.relation_id);
@@ -286,10 +267,15 @@ Result<std::vector<std::vector<ConditionMatch>>> SelectionNetwork::MatchBatch(
     m.selection_tokens.Increment();
     m.selection_residual_checks.Increment(per_rel.residual.size());
 
-    std::vector<int64_t> candidates = per_rel.residual;
+    candidates.assign(per_rel.residual.begin(), per_rel.residual.end());
     for (const auto& [attr_pos, index] : per_rel.attr_indexes) {
       if (attr_pos >= token.value.size()) continue;
       const Value& v = token.value.at(attr_pos);
+      if (!cache_stabs) {
+        m.selection_stabs.Increment();
+        index->Stab(v, &candidates);
+        continue;
+      }
       auto& per_index = stab_cache[index.get()];
       auto hit = per_index.find(v);
       if (hit == per_index.end()) {
@@ -305,12 +291,12 @@ Result<std::vector<std::vector<ConditionMatch>>> SelectionNetwork::MatchBatch(
 
     for (int64_t id : candidates) {
       const NodeInfo& node = per_rel.nodes.at(id);
-      ARIEL_RETURN_NOT_OK(VerifyAndCollect(
-          token, node, mask_for(token, node),
-          columnar_exec_ ? group_pos[i] : 0, &out[i]));
+      ARIEL_RETURN_NOT_OK(VerifyAndCollect(token, node, mask_for(token, node),
+                                           columnar ? group_pos[i] : 0,
+                                           &(*out)[i]));
     }
   }
-  return out;
+  return Status::OK();
 }
 
 std::string SelectionNetwork::DescribeRule(const RuleNetwork* rule) const {

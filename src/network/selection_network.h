@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -45,22 +46,21 @@ class SelectionNetwork {
   /// Unregisters a rule's conditions.
   void RemoveRule(RuleNetwork* rule);
 
-  /// Computes the α-memories this token reaches (admission filter plus full
-  /// selection predicate), in registration order.
-  [[nodiscard]] Result<std::vector<ConditionMatch>> Match(const Token& token) const;
-
-  /// Batch classification (stage 1 of ProcessBatch): per-token results are
-  /// identical to Match, but each attribute interval index descends once per
-  /// distinct attribute value in the batch instead of once per token —
-  /// duplicate constant-partitions reuse the cached stab result. Residual
-  /// checks remain per token; predicate verification is column-at-a-time
-  /// when the condition vector-compiles (one mask per condition per
-  /// relation group, over a ColumnBatch of the group's token values),
-  /// per-token otherwise. The vectorizable grammar is total and replicates
-  /// row semantics exactly, so results — and the tested/matched counters —
-  /// are identical either way.
-  [[nodiscard]] Result<std::vector<std::vector<ConditionMatch>>> MatchBatch(
-      const std::vector<Token>& tokens) const;
+  /// Classifies a token batch (stage 1 of ProcessBatch): (*out)[i] receives
+  /// the α-memories tokens[i] reaches (admission filter plus full selection
+  /// predicate), in registration order. `out` keeps its capacity across
+  /// calls. A batch of more than one token descends each attribute interval
+  /// index once per distinct attribute value — duplicate
+  /// constant-partitions reuse the cached stab result. Residual checks are
+  /// per token; predicate verification is column-at-a-time when a relation
+  /// group has at least 16 tokens and the condition vector-compiles (one
+  /// mask per condition per group, over a ColumnBatch of the group's token
+  /// values), per token otherwise. The vectorizable grammar is total and
+  /// replicates row semantics exactly, so results — and the tested/matched
+  /// counters — are identical either way.
+  [[nodiscard]] Status MatchBatch(
+      std::span<const Token> tokens,
+      std::vector<std::vector<ConditionMatch>>* out) const;
 
   /// Enables columnar batch verification (mirrors
   /// OptimizerOptions.columnar_exec). Off forces per-token verification.
@@ -95,7 +95,7 @@ class SelectionNetwork {
     /// vectorizable grammar. Used by MatchBatch to verify a whole relation
     /// group with one mask instead of one scratch-Row eval per token.
     VectorPredicatePtr vector_selection;
-    // Lifetime observability counters; mutable because Match is const.
+    // Lifetime observability counters; mutable because MatchBatch is const.
     mutable uint64_t tested = 0;   // tokens verified against this condition
     mutable uint64_t matched = 0;  // tokens admitted to the α-memory
   };

@@ -28,9 +28,11 @@ Status TransitionManager::EndTransition() {
 
 Status TransitionManager::FlushTokenBatch() {
   if (batch_.empty()) return Status::OK();
-  std::vector<Token> draining;
-  draining.swap(batch_);
-  return network_->ProcessBatch(draining);
+  // Propagation never re-enters the gateway, so the batch can be read in
+  // place and cleared after, keeping its capacity.
+  Status status = network_->ProcessBatch(batch_);
+  batch_.clear();
+  return status;
 }
 
 Status TransitionManager::MaybeFlushBeforeMutation(
@@ -98,15 +100,11 @@ void TransitionManager::CountToken(const Token& token) {
 
 Status TransitionManager::Emit(Token token) {
   CountToken(token);
-  if (batch_tokens_ == 0) return network_->ProcessToken(token);
+  // A flush of one needs no buffer: hand the token over in place.
+  if (batch_tokens_ <= 1) return network_->ProcessBatch({&token, 1});
   batch_.push_back(std::move(token));
   if (batch_.size() >= batch_tokens_) return FlushTokenBatch();
   return Status::OK();
-}
-
-Status TransitionManager::EmitCompensating(Token token) {
-  CountToken(token);
-  return network_->ProcessToken(token);
 }
 
 Result<TupleId> TransitionManager::Insert(HeapRelation* relation,
@@ -317,13 +315,17 @@ void TransitionManager::BeginCompensation() {
   network_->SetCompensationMode(true);
 }
 
-void TransitionManager::EndCompensation() {
+Status TransitionManager::EndCompensation() {
+  // The last compensating tokens propagate while P-node mutation is still
+  // suppressed.
+  Status status = FlushTokenBatch();
   network_->SetCompensationMode(false);
   // Compensating tokens never enter dynamic (event/transition) memories —
   // they carry no specifier and are not Δ tokens — but run the
   // end-of-transition housekeeping anyway so the flushed-at-quiescence
   // invariant holds by construction.
   network_->OnTransitionEnd();
+  return status;
 }
 
 Status TransitionManager::CompensateInsert(HeapRelation* relation,
@@ -336,13 +338,15 @@ Status TransitionManager::CompensateInsert(HeapRelation* relation,
   minus.tid = tid;
   minus.value = *current;
   // no event specifier
-  ARIEL_RETURN_NOT_OK(EmitCompensating(std::move(minus)));
+  ARIEL_RETURN_NOT_OK(Emit(std::move(minus)));
+  ARIEL_RETURN_NOT_OK(MaybeFlushBeforeMutation(*relation));
   return relation->Delete(tid);
 }
 
 Status TransitionManager::CompensateDelete(HeapRelation* relation, TupleId tid,
                                            const Tuple& before) {
   if (relation->Get(tid) == nullptr) {
+    ARIEL_RETURN_NOT_OK(MaybeFlushBeforeMutation(*relation));
     ARIEL_RETURN_NOT_OK(relation->InsertAt(tid, before));
   }
   // else: the delete failed between logging and the storage op — the tuple
@@ -353,7 +357,7 @@ Status TransitionManager::CompensateDelete(HeapRelation* relation, TupleId tid,
   plus.tid = tid;
   plus.value = *relation->Get(tid);
   // no event specifier
-  return EmitCompensating(std::move(plus));
+  return Emit(std::move(plus));
 }
 
 Status TransitionManager::CompensateUpdate(HeapRelation* relation, TupleId tid,
@@ -364,6 +368,7 @@ Status TransitionManager::CompensateUpdate(HeapRelation* relation, TupleId tid,
                             " missing from \"" + relation->name() + "\"");
   }
   Tuple after = *current;
+  ARIEL_RETURN_NOT_OK(MaybeFlushBeforeMutation(*relation));
   ARIEL_RETURN_NOT_OK(relation->Update(tid, before));
   Token minus;
   minus.kind = TokenKind::kMinus;
@@ -371,14 +376,14 @@ Status TransitionManager::CompensateUpdate(HeapRelation* relation, TupleId tid,
   minus.tid = tid;
   minus.value = std::move(after);
   // no event specifier
-  ARIEL_RETURN_NOT_OK(EmitCompensating(std::move(minus)));
+  ARIEL_RETURN_NOT_OK(Emit(std::move(minus)));
   Token plus;
   plus.kind = TokenKind::kPlus;
   plus.relation_id = relation->id();
   plus.tid = tid;
   plus.value = *relation->Get(tid);
   // no event specifier
-  return EmitCompensating(std::move(plus));
+  return Emit(std::move(plus));
 }
 
 }  // namespace ariel

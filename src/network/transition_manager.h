@@ -39,15 +39,15 @@ namespace ariel {
 /// single-operation transition (without the engine-level recognize-act
 /// cycle, which only the engine runs).
 ///
-/// Batched propagation (set_batch_tokens > 0): instead of walking each
-/// token through the network at Emit time, tokens accumulate in emission
-/// order and flush as one DiscriminationNetwork::ProcessBatch call — when
-/// the batch fills, at end of transition, and before any mutation of a
+/// Propagation: tokens accumulate in emission order and flush as one
+/// DiscriminationNetwork::ProcessBatch call — when the batch holds
+/// batch_tokens tokens, at end of transition, and before any mutation of a
 /// relation some active rule virtually scans (a deferred token joining
 /// through a virtual α-memory must see the base relation exactly as it
-/// stood at the token's serial propagation point). Flush scope is therefore
-/// always within one transition, and observable behaviour is identical to
-/// per-token propagation.
+/// stood when the token was emitted). At batch_tokens 0 or 1 every token is
+/// a flush of one, handed over as it is emitted: the paper's order. Flush
+/// scope is always within one transition, and every batch size gives the
+/// same result.
 class TransitionManager : public StorageGateway {
  public:
   explicit TransitionManager(DiscriminationNetwork* network)
@@ -72,8 +72,7 @@ class TransitionManager : public StorageGateway {
   uint64_t transition_seq() const { return transition_seq_; }
 
   /// Δ-set batching knob: accumulate up to `n` tokens before propagating
-  /// them as one batch. 0 (default) propagates per token — the paper's
-  /// behaviour, byte-for-byte.
+  /// them as one batch. 0 (default) or 1 flushes every token.
   void set_batch_tokens(size_t n) { batch_tokens_ = n; }
   size_t batch_tokens() const { return batch_tokens_; }
 
@@ -82,7 +81,8 @@ class TransitionManager : public StorageGateway {
   size_t pending_batch_tokens() const { return batch_.size(); }
 
   /// Propagates the pending batch now. Public for the engine's extra flush
-  /// points; EndTransition always calls it.
+  /// points (rollback flushes before every undo record that is not a tuple
+  /// record); EndTransition and EndCompensation always call it.
   [[nodiscard]] Status FlushTokenBatch();
 
   /// Undo log receiving one record per applied mutation (null = no
@@ -98,15 +98,18 @@ class TransitionManager : public StorageGateway {
   /// are maintained by the compensating tokens below, but P-node mutation
   /// is suppressed (conflict sets are history-dependent and are restored
   /// from the P-node journal instead; joining would also refire rules).
+  /// EndCompensation flushes the tokens still pending.
   void BeginCompensation();
-  void EndCompensation();
+  [[nodiscard]] Status EndCompensation();
 
   /// Reverse one logged mutation. Compensating tokens carry *no* event
   /// specifier (like the paper's case-3 simple − token), so they pass
   /// selection predicates and heal pattern memories without ever waking an
-  /// on-event condition. Each is tolerant of the forward mutation having
-  /// never reached storage (a mid-propagation failure logs before the
-  /// storage op): the storage step is skipped, the network still heals.
+  /// on-event condition. They are emitted and batched like forward tokens,
+  /// with the same hazard flush before each storage step. Each is tolerant
+  /// of the forward mutation having never reached storage (a
+  /// mid-propagation failure logs before the storage op): the storage step
+  /// is skipped, the network still heals.
   [[nodiscard]] Status CompensateInsert(HeapRelation* relation, TupleId tid);
   [[nodiscard]] Status CompensateDelete(HeapRelation* relation, TupleId tid,
                                         const Tuple& before);
@@ -120,11 +123,6 @@ class TransitionManager : public StorageGateway {
   };
 
   [[nodiscard]] Status Emit(Token token);
-
-  /// Emits a compensating token: straight through the network, bypassing
-  /// the batch pipeline (the batch is empty during rollback — every exit
-  /// path flushes — and compensation must not interleave with it).
-  [[nodiscard]] Status EmitCompensating(Token token);
 
   void CountToken(const Token& token);
 

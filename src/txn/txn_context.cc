@@ -88,7 +88,8 @@ Status TransactionContext::RollbackTopFrame() {
     status = hooks_->ApplyUndo(&record);
     if (!status.ok()) break;
   }
-  hooks_->EndCompensation();
+  Status end = hooks_->EndCompensation();
+  if (status.ok()) status = std::move(end);
   undo_log_.TruncateTo(frame.undo_mark);
   hooks_->TruncatePendingAlerts(frame.pending_alert_mark);
   Metrics().firing_trace.TruncateTo(frame.trace_mark);

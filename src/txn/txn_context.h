@@ -48,8 +48,9 @@ class TransactionHooks {
 
   /// Brackets the ApplyUndo replay: the network enters compensation mode
   /// (P-node mutations suppressed; α/β/index maintenance live).
+  /// EndCompensation propagates the compensating tokens still pending.
   virtual void BeginCompensation() = 0;
-  virtual void EndCompensation() = 0;
+  [[nodiscard]] virtual Status EndCompensation() = 0;
 };
 
 /// The transaction spine of the engine: a stack of frames over one UndoLog.

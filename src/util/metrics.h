@@ -362,8 +362,8 @@ struct EngineMetrics {
   Counter cycles_run;
   Counter rules_select_visits;  // agenda entries conflict resolution examined
 
-  // Batch propagation pipeline (TransitionManager token batching + the
-  // parallel rule-matching stage; 0 everywhere when batch_tokens = 0).
+  // Propagation pipeline (TransitionManager token batching + the per-rule
+  // matching stage; at batch_tokens 0 or 1 every token is its own flush).
   Counter batch_flushes;      // token batches propagated
   Counter match_tasks;        // per-rule match tasks run by batch flushes
   Counter match_steal_count;  // cross-deque steals inside those batches
@@ -396,13 +396,15 @@ struct EngineMetrics {
   Counter txn_ignored_action_errors;  // action errors dropped by =ignore
   Gauge txn_active_savepoints;  // open transaction frames right now
 
-  Histogram token_process_ns;  // DiscriminationNetwork::ProcessToken
+  Histogram token_process_ns;  // DiscriminationNetwork::ProcessBatch, once
+                               // per flush (all propagation time)
   Histogram rule_firing_ns;    // RuleExecutionMonitor::FireRule
   Histogram batch_tokens_per_flush;  // tokens carried by each flushed batch
-  Histogram batch_select_ns;  // batch stage 1: selection-network classify
-  Histogram batch_match_ns;   // batch stage 2: per-rule join/α-memory work
-  Histogram batch_merge_ns;   // retired merge stage: always empty, kept for
-                              // readers of the histogram
+  // Retired stage timers: always empty (the whole flush is timed under
+  // token_process_ns), kept for readers of the histograms.
+  Histogram batch_select_ns;
+  Histogram batch_match_ns;
+  Histogram batch_merge_ns;
   Histogram txn_rollback_ns;  // undo replay (incl. P-node restores) per
                               // rollback
   Histogram server_command_ns;  // per-request execute+render (p50/p99 in

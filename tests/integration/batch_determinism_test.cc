@@ -38,6 +38,7 @@ struct RunCapture {
   std::map<std::string, std::vector<std::string>> pnodes;
   std::map<std::string, std::vector<std::string>> relations;
   uint64_t batch_flushes = 0;
+  uint64_t tokens_emitted = 0;
   uint64_t match_tasks = 0;
   size_t virtual_memories = 0;
 };
@@ -192,6 +193,7 @@ class BatchDeterminismTest : public ::testing::TestWithParam<BatchParams> {
       }
     }
     capture.batch_flushes = CounterValue("batch_flushes");
+    capture.tokens_emitted = CounterValue("tokens_emitted");
     capture.match_tasks = CounterValue("match_tasks");
     return capture;
   }
@@ -207,7 +209,10 @@ TEST_P(BatchDeterminismTest, BatchedRunIsByteIdenticalToSerial) {
     RunCapture serial = Run(p, /*batch_tokens=*/0, mode);
     RunCapture batched = Run(p, /*batch_tokens=*/7, mode);
 
-    EXPECT_EQ(serial.batch_flushes, 0u);
+    // Every token reaches the network through a flush: one per token
+    // serially, fewer when seven may share one.
+    EXPECT_EQ(serial.batch_flushes, serial.tokens_emitted);
+    EXPECT_LT(batched.batch_flushes, serial.batch_flushes);
     EXPECT_GT(batched.batch_flushes, 0u);
     if (p.threads > 0) {
       EXPECT_GT(batched.match_tasks, 0u);

@@ -130,10 +130,10 @@ class SelectionNetworkTest : public ::testing::Test {
     token.value = Tuple(std::vector<Value>{Value::String(name),
                                            Value::Float(sal)});
     token.event = TokenEvent{EventKind::kAppend, {}};
-    auto matches = selection_.Match(token);
-    EXPECT_OK(matches);
+    std::vector<std::vector<ConditionMatch>> matches;
+    EXPECT_OK(selection_.MatchBatch({&token, 1}, &matches));
     std::vector<std::string> out;
-    for (const ConditionMatch& m : *matches) {
+    for (const ConditionMatch& m : matches[0]) {
       out.push_back(m.rule->rule_name());
     }
     return out;
@@ -194,9 +194,9 @@ TEST_F(SelectionNetworkTest, TokensForOtherRelationsMatchNothing) {
   token.kind = TokenKind::kPlus;
   token.relation_id = 9999;
   token.value = Tuple(std::vector<Value>{Value::Int(1)});
-  auto matches = selection_.Match(token);
-  ASSERT_OK(matches);
-  EXPECT_TRUE(matches->empty());
+  std::vector<std::vector<ConditionMatch>> matches;
+  ASSERT_OK(selection_.MatchBatch({&token, 1}, &matches));
+  EXPECT_TRUE(matches[0].empty());
 }
 
 TEST_F(SelectionNetworkTest, MatchOrderIsRegistrationOrder) {

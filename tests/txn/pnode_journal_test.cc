@@ -419,5 +419,47 @@ TEST_F(TxnJournalTest, BatchJournalIsIdenticalAtEveryThreadCount) {
   }
 }
 
+// The journal is lazy on the batch path too: a token that reaches a
+// rule's α-memory but completes no instantiation (its join fails) leaves
+// no save for that rule, while the rule it does instantiate journals once.
+TEST_F(TxnJournalTest, BatchJournalsOnlyPNodesATokenWrites) {
+  for (size_t threads : {0, 2}) {
+    SCOPED_TRACE("match_threads=" + std::to_string(threads));
+    Metrics().firing_trace.Clear();
+    DatabaseOptions options;
+    options.batch_tokens = 7;
+    options.match_threads = threads;
+    Database db(options);
+    Exec(db, "create emp (name = string, sal = int, dno = int)");
+    Exec(db, "create dept (dno = int, budget = int)");
+    Exec(db, "create log (msg = string)");
+    Exec(db, "define rule pay if emp.dno = dept.dno and "
+             "emp.sal > dept.budget then append to log (msg = emp.name)");
+    Exec(db, "define rule rich if emp.sal > 60 "
+             "then append to log (msg = \"rich\")");
+    Exec(db, "append dept (dno = 1, budget = 10)");
+    const std::string before = db.DebugDumpState();
+
+    Exec(db, "begin");
+    const uint64_t arrivals = CounterValue("alpha_arrivals");
+    // Both tokens reach pay's emp memory; no dept 9 exists to join.
+    Exec(db, "do\n"
+             "  append emp (name = \"a\", sal = 80, dno = 9)\n"
+             "  append emp (name = \"b\", sal = 20, dno = 9)\n"
+             "end");
+    EXPECT_EQ(CounterValue("alpha_arrivals") - arrivals, 3u);
+    std::vector<std::string> journaled;
+    const UndoLog& log = db.txn().undo_log();
+    for (size_t i = 0; i < log.size(); ++i) {
+      if (log.record(i).kind == UndoKind::kPNodeState) {
+        journaled.push_back(log.record(i).name);
+      }
+    }
+    EXPECT_EQ(journaled, std::vector<std::string>{"rich"});
+    Exec(db, "abort");
+    EXPECT_EQ(db.DebugDumpState(), before);
+  }
+}
+
 }  // namespace
 }  // namespace ariel

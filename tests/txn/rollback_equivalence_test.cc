@@ -175,5 +175,85 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param.name;
     });
 
+// Rollback batches its compensating tokens like forward propagation. An
+// aborted transaction that rewrites relations a Rete rule scans through
+// virtual α-memories, and also creates a relation and an index, must still
+// land on the pre-`begin` state at every batch size and thread count: the
+// pending tokens flush before each compensating storage step on a scanned
+// relation, before the catalog records are undone, and at the end.
+struct HazardParams {
+  const char* name;
+  size_t batch_tokens;
+  size_t match_threads;
+};
+
+class RollbackHazardTest : public ::testing::TestWithParam<HazardParams> {};
+
+TEST_P(RollbackHazardTest,
+       AbortedVirtualScanWritesAndCatalogChangesLeaveNoTrace) {
+  const HazardParams& p = GetParam();
+  DatabaseOptions options;
+  options.join_backend = JoinBackend::kRete;
+  options.alpha_policy.mode = AlphaMemoryPolicy::Mode::kAllVirtual;
+  options.batch_tokens = p.batch_tokens;
+  options.match_threads = p.match_threads;
+  Database db(options);
+  auto exec = [&db](const std::string& script) {
+    SCOPED_TRACE(script);
+    ASSERT_OK(db.Execute(script).status());
+  };
+  exec("create emp (name = string, sal = int, dno = int, jno = int)");
+  exec("create dept (dno = int, budget = int)");
+  exec("create job (jno = int, grade = int)");
+  exec("create sink (x = int)");
+  // Three variables, so Rete keeps a β-memory over (e, d) that the
+  // compensating tokens must heal by joining through the virtual memories.
+  exec("define rule staffed if e.dno = d.dno and e.jno = j.jno and "
+       "e.sal > d.budget from e in emp, d in dept, j in job "
+       "then append to sink (x = e.sal)");
+  for (int d = 1; d <= 3; ++d) {
+    exec("append dept (dno = " + std::to_string(d) + ", budget = " +
+         std::to_string(10 * d) + ")");
+    exec("append job (jno = " + std::to_string(d) + ", grade = " +
+         std::to_string(d) + ")");
+  }
+  for (int i = 0; i < 6; ++i) {
+    exec("append emp (name = \"e" + std::to_string(i) + "\", sal = " +
+         std::to_string(5 + 7 * i) + ", dno = " + std::to_string(i % 3 + 1) +
+         ", jno = " + std::to_string(i % 2 + 1) + ")");
+  }
+  const std::string before = db.DebugDumpState();
+
+  exec("begin");
+  exec("append dept (dno = 4, budget = 1)");
+  exec("append emp (name = \"n\", sal = 50, dno = 4, jno = 1)");
+  exec("delete emp where emp.dno = 2");
+  exec("replace dept (dno = 2) where dept.dno = 3");
+  exec("append dept (dno = 3, budget = 2)");
+  exec("create tmp (x = int)");
+  exec("define index on tmp (x)");
+  exec("append tmp (x = 7)");
+  exec("define index on emp (name)");
+  exec("replace emp (dno = 3) where emp.jno = 1");
+  exec("delete dept where dept.budget < 5");
+  exec("abort");
+
+  EXPECT_EQ(db.DebugDumpState(), before);
+  EXPECT_EQ(db.catalog().GetRelation("tmp"), nullptr);
+  auto violations = db.AuditNetwork();
+  ASSERT_OK(violations);
+  EXPECT_TRUE(violations->empty())
+      << violations->size() << " audit violation(s), first: "
+      << (*violations)[0].ToString();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BatchAndThreads, RollbackHazardTest,
+    ::testing::Values(HazardParams{"b0_t0", 0, 0}, HazardParams{"b0_t2", 0, 2},
+                      HazardParams{"b7_t0", 7, 0}, HazardParams{"b7_t2", 7, 2}),
+    [](const ::testing::TestParamInfo<HazardParams>& info) {
+      return std::string(info.param.name);
+    });
+
 }  // namespace
 }  // namespace ariel

@@ -80,7 +80,10 @@ class RecordingHooks : public TransactionHooks {
   size_t PendingAlertMark() const override { return 0; }
   void TruncatePendingAlerts(size_t) override { ++restores; }
   void BeginCompensation() override { calls.push_back("begin-comp"); }
-  void EndCompensation() override { calls.push_back("end-comp"); }
+  Status EndCompensation() override {
+    calls.push_back("end-comp");
+    return Status::OK();
+  }
 
   std::vector<std::string> calls;
   int restores = 0;
