@@ -626,10 +626,18 @@ Status Database::ApplyUndo(UndoRecord* record) {
       }
       return transitions_->CompensateUpdate(rel, record->tid, record->before);
     }
-    case UndoKind::kCreateRelation:
+    case UndoKind::kCreateRelation: {
       // Tuple records for anything inserted into the new relation sit above
-      // this one and were already compensated; the relation is empty.
-      return catalog_.DropRelation(record->name);
+      // this one and were already compensated; the relation is empty. A
+      // rule over it could only be defined after the create, inside this
+      // frame, and rule administration is not undone: the rule goes with
+      // its relation instead of keeping α-memories on a freed heap.
+      const std::string name = record->name;
+      for (const std::string& rule : rules_->RulesReferencing(name)) {
+        ARIEL_RETURN_NOT_OK(rules_->RemoveRule(rule));
+      }
+      return catalog_.DropRelation(name);
+    }
     case UndoKind::kDropRelation:
       return catalog_.Adopt(std::move(record->detached));
     case UndoKind::kCreateIndex: {

@@ -171,13 +171,14 @@ std::vector<std::string> RuleManager::RuleNames() const {
   return names;
 }
 
-bool RuleManager::AnyRuleReferences(const std::string& relation_name) const {
-  std::string lower = ToLower(relation_name);
-  for (const auto& [name, rule] : rules_) {
-    const DefineRuleCommand& def = *rule->definition;
-    if (rule->active && rule->network != nullptr) {
-      for (size_t i = 0; i < rule->network->num_vars(); ++i) {
-        if (rule->network->alpha(i)->spec().relation->name() == lower) {
+std::vector<std::string> RuleManager::RulesReferencing(
+    const std::string& relation_name) const {
+  const std::string lower = ToLower(relation_name);
+  auto references = [&](const Rule& rule) {
+    const DefineRuleCommand& def = *rule.definition;
+    if (rule.active && rule.network != nullptr) {
+      for (size_t i = 0; i < rule.network->num_vars(); ++i) {
+        if (rule.network->alpha(i)->spec().relation->name() == lower) {
           return true;
         }
       }
@@ -193,8 +194,13 @@ bool RuleManager::AnyRuleReferences(const std::string& relation_name) const {
         if (var == lower) return true;
       }
     }
+    return false;
+  };
+  std::vector<std::string> names;
+  for (const auto& [name, rule] : rules_) {
+    if (references(*rule)) names.push_back(name);
   }
-  return false;
+  return names;
 }
 
 }  // namespace ariel

@@ -99,9 +99,14 @@ class RuleManager {
   /// All rule names, sorted (introspection).
   std::vector<std::string> RuleNames() const;
 
-  /// True if any installed rule's definition references `relation_name`
-  /// (used to refuse destroying relations rules depend on).
-  bool AnyRuleReferences(const std::string& relation_name) const;
+  /// Installed rules whose definition references `relation_name`, sorted
+  /// (destroying such a relation is refused; undoing its creation removes
+  /// them).
+  std::vector<std::string> RulesReferencing(
+      const std::string& relation_name) const;
+  bool AnyRuleReferences(const std::string& relation_name) const {
+    return !RulesReferencing(relation_name).empty();
+  }
 
   size_t num_rules() const { return rules_.size(); }
 

@@ -98,6 +98,28 @@ TEST_F(TxnCommandsTest, AbortUndoesDdl) {
   EXPECT_EQ(before, db_->DebugDumpState());
 }
 
+// Rule administration is not undone, but a rule over a relation the
+// aborted frame created cannot outlive that relation: the abort removes it
+// with the relation instead of leaving its α-memories on a freed heap.
+TEST_F(TxnCommandsTest, AbortRemovesRulesOverRelationsItDrops) {
+  ASSERT_OK(db_->Execute("begin"));
+  ASSERT_OK(db_->Execute("create tmp (x = int)"));
+  ASSERT_OK(db_->Execute(
+      "define rule rt if tmp.x > 0 then append to log (msg = \"rt\")"));
+  ASSERT_OK(db_->Execute("abort"));
+
+  auto explain = db_->Execute("explain rule rt");
+  ASSERT_FALSE(explain.ok());
+  EXPECT_EQ(explain.status().code(), StatusCode::kNotFound);
+  auto violations = db_->AuditNetwork();
+  ASSERT_OK(violations);
+  EXPECT_TRUE(violations->empty());
+
+  ASSERT_OK(db_->Execute("create tmp (x = int)"));
+  ASSERT_OK(db_->Execute("append tmp (x = 5)"));
+  EXPECT_EQ(Count("log"), 0u);
+}
+
 TEST_F(TxnCommandsTest, TransactionMisuseIsAnError) {
   EXPECT_NOT_OK(db_->Execute("commit"));
   EXPECT_NOT_OK(db_->Execute("abort"));
