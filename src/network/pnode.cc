@@ -123,24 +123,6 @@ void PNode::DrainInto(HeapRelation* dest) {
   Metrics().pnode_bindings_consumed.Increment(drained);
 }
 
-std::unique_ptr<HeapRelation> PNode::DetachSnapshot() {
-  auto snapshot = std::make_unique<HeapRelation>(
-      relation_->id(), relation_->name() + "$firing", relation_->schema());
-  if (!empty()) Journal();
-  size_t drained = 0;
-  for (TupleId row_id : relation_->AllTupleIds()) {
-    const Tuple* t = relation_->Get(row_id);
-    if (t != nullptr) {
-      ARIEL_IGNORE_STATUS(snapshot->Insert(*t).status());  // same schema
-      ARIEL_IGNORE_STATUS(relation_->Delete(row_id));  // id just enumerated
-      ++drained;
-    }
-  }
-  ClearPostings();
-  Metrics().pnode_bindings_consumed.Increment(drained);
-  return snapshot;
-}
-
 PNode::State PNode::CaptureState() const {
   State state;
   for (TupleId row_id : relation_->AllTupleIds()) {

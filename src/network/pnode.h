@@ -83,12 +83,6 @@ class PNode {
   /// Consumes all instantiations (rule firing / deactivation).
   void Clear();
 
-  /// Moves the current contents into a fresh relation and clears this
-  /// P-node. Rule firing binds the action to the snapshot (the data matched
-  /// "at rule fire time", §5), while instantiations produced by the action
-  /// itself accumulate in the live P-node for later cycle iterations.
-  std::unique_ptr<HeapRelation> DetachSnapshot();
-
   /// Creates an empty relation with this P-node's schema — the rule
   /// monitor's reusable firing buffer (a stable relation pointer lets
   /// cached action plans survive across firings).
@@ -96,7 +90,10 @@ class PNode {
 
   /// Moves the current contents into `dest` and clears this P-node. `dest`
   /// must come from MakeFiringBuffer and be empty (the rule monitor empties
-  /// it after every firing).
+  /// it after every firing). Rule firing binds the action to the drained
+  /// rows (the data matched "at rule fire time", §5), while instantiations
+  /// the action itself produces accumulate in the live P-node for later
+  /// cycle iterations.
   void DrainInto(HeapRelation* dest);
 
   /// Rebuilds a Row (rule-variable layout) from one stored P-node tuple;

@@ -118,20 +118,21 @@ TEST_F(PNodeTest, MatchStampOrdersByEpochThenOrdinal) {
   EXPECT_EQ(pnode.size(), 1u);
 }
 
-TEST_F(PNodeTest, ClearAndDetachSnapshot) {
+TEST_F(PNodeTest, ClearAndDrainInto) {
   PNode pnode = MakeTwoVar();
   ASSERT_OK(pnode.Insert(MakeRow("a", 1.0, 1, 10, 20), {}));
   ASSERT_OK(pnode.Insert(MakeRow("b", 2.0, 1, 11, 20), {}));
 
-  std::unique_ptr<HeapRelation> snapshot = pnode.DetachSnapshot();
-  EXPECT_EQ(snapshot->size(), 2u);
+  std::unique_ptr<HeapRelation> buffer = pnode.MakeFiringBuffer();
+  EXPECT_EQ(buffer->schema(), pnode.relation().schema());
+  pnode.DrainInto(buffer.get());
+  EXPECT_EQ(buffer->size(), 2u);
   EXPECT_TRUE(pnode.empty());
-  EXPECT_EQ(snapshot->schema(), pnode.relation().schema());
 
-  // New instantiations land in the live P-node, not the snapshot.
+  // New instantiations land in the live P-node, not the drained buffer.
   ASSERT_OK(pnode.Insert(MakeRow("c", 3.0, 2, 12, 21), {}));
   EXPECT_EQ(pnode.size(), 1u);
-  EXPECT_EQ(snapshot->size(), 2u);
+  EXPECT_EQ(buffer->size(), 2u);
 
   pnode.Clear();
   EXPECT_TRUE(pnode.empty());
