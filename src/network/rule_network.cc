@@ -299,14 +299,10 @@ Status RuleNetwork::Init() {
         if (a != b) adjacency_[a][b] = true;
       }
     }
-    ARIEL_RETURN_NOT_OK(RecordRelationProbes(*expr));
-    if (columnar_exec_) {
-      ARIEL_RETURN_NOT_OK(
-          RecordBandedProbes(join_conjuncts_.size(), *expr));
-    }
     join_conjuncts_.push_back(std::move(cc));
   }
-  ARIEL_RETURN_NOT_OK(ConfigureAlphaJoinIndexes());
+  orientations_ = AnalyzeJoinConjuncts(join_exprs_, scope_);
+  ARIEL_RETURN_NOT_OK(DeriveKeyedAccess());
 
   for (const auto& alpha : alphas_) {
     if (alpha->is_dynamic()) has_dynamic_ = true;
@@ -324,58 +320,95 @@ Status RuleNetwork::Init() {
   return Status::OK();
 }
 
-namespace {
-
-/// True when `attrs` (compiler-lowercased) contains `attr`.
-bool AttrListed(const std::vector<std::string>& attrs,
-                const std::string& attr) {
-  for (const std::string& a : attrs) {
-    if (EqualsIgnoreCase(a, attr)) return true;
+std::vector<JoinOrientation> AnalyzeJoinConjuncts(
+    const std::vector<ExprPtr>& conjuncts, const Scope& scope) {
+  auto resolve = [&](const Expr& expr, std::vector<size_t>* out) {
+    for (const std::string& name : CollectTupleVars(expr)) {
+      const int idx = scope.IndexOf(name);
+      if (idx < 0) return false;
+      out->push_back(static_cast<size_t>(idx));
+    }
+    return true;
+  };
+  std::vector<JoinOrientation> out;
+  for (size_t c = 0; c < conjuncts.size(); ++c) {
+    if (conjuncts[c]->kind != ExprKind::kBinary) continue;
+    const auto& bin = static_cast<const BinaryExpr&>(*conjuncts[c]);
+    if (!IsComparison(bin.op)) continue;
+    std::vector<size_t> lhs_vars;
+    std::vector<size_t> rhs_vars;
+    if (!resolve(*bin.lhs, &lhs_vars) || !resolve(*bin.rhs, &rhs_vars)) {
+      continue;
+    }
+    for (bool flip : {false, true}) {
+      JoinOrientation o;
+      o.conjunct = c;
+      o.op = flip ? MirrorComparison(bin.op) : bin.op;
+      o.side = flip ? bin.rhs.get() : bin.lhs.get();
+      o.other = flip ? bin.lhs.get() : bin.rhs.get();
+      o.side_vars = flip ? rhs_vars : lhs_vars;
+      o.other_vars = flip ? lhs_vars : rhs_vars;
+      if (o.side->kind == ExprKind::kColumnRef && !o.other_vars.empty()) {
+        const auto& ref = static_cast<const ColumnRefExpr&>(*o.side);
+        const size_t var = o.side_vars.front();
+        if (!ref.previous && !ref.is_all() &&
+            std::find(o.other_vars.begin(), o.other_vars.end(), var) ==
+                o.other_vars.end()) {
+          o.var = static_cast<int>(var);
+          o.attr = ToLower(ref.attribute);
+          o.col = scope.var(var).schema->IndexOf(ref.attribute);
+        }
+      }
+      out.push_back(std::move(o));
+    }
   }
-  return false;
+  return out;
 }
 
-}  // namespace
+Result<JoinKeySpec> RuleNetwork::CompileKeySpec(
+    const JoinOrientation& o) const {
+  JoinKeySpec spec;
+  ARIEL_ASSIGN_OR_RETURN(spec.entry_expr, CompileExpr(*o.side, scope_));
+  ARIEL_ASSIGN_OR_RETURN(spec.probe_expr, CompileExpr(*o.other, scope_));
+  spec.probe_vars = o.other_vars;
+  spec.description = o.side->ToString() + " = " + o.other->ToString();
+  return spec;
+}
 
-Status RuleNetwork::ConfigureAlphaJoinIndexes() {
+Status RuleNetwork::DeriveKeyedAccess() {
   const size_t n = alphas_.size();
   std::vector<std::vector<JoinKeySpec>> specs(n);
-  for (const ExprPtr& expr : join_exprs_) {
-    if (expr->kind != ExprKind::kBinary) continue;
-    const auto& bin = static_cast<const BinaryExpr&>(*expr);
-    if (bin.op != BinaryOp::kEq) continue;
-    for (bool flip : {false, true}) {
-      const Expr* entry_side = flip ? bin.rhs.get() : bin.lhs.get();
-      const Expr* probe_side = flip ? bin.lhs.get() : bin.rhs.get();
-      if (entry_side->kind != ExprKind::kColumnRef) continue;
-      const auto& ref = static_cast<const ColumnRefExpr&>(*entry_side);
-      if (ref.previous || ref.is_all()) continue;
-      int var = scope_.IndexOf(ref.tuple_var);
-      if (var < 0) continue;
-      if (!alphas_[var]->stores_tuples()) continue;
-      // The compiler only flags attributes it derived as equijoin keys;
-      // hand-built specs without metadata stay on the scan path.
-      if (!AttrListed(alphas_[var]->spec().equijoin_attrs, ref.attribute)) {
-        continue;
+  for (const JoinOrientation& o : orientations_) {
+    if (o.var < 0) continue;
+    const size_t var = static_cast<size_t>(o.var);
+    const AlphaMemory& alpha = *alphas_[var];
+    if (alpha.stores_tuples()) {
+      // A stored memory hashes its entries on each equality key; with
+      // columnar execution any comparison key also prefilters its scans.
+      if (columnar_exec_ && o.col >= 0) {
+        BandedProbe probe;
+        probe.conjunct = o.conjunct;
+        probe.var = var;
+        probe.col = static_cast<size_t>(o.col);
+        probe.op = o.op;
+        probe.key_vars = o.other_vars;
+        ARIEL_ASSIGN_OR_RETURN(probe.key_expr, CompileExpr(*o.other, scope_));
+        banded_probes_.push_back(std::move(probe));
       }
-      JoinKeySpec spec;
-      bool self_reference = false;
-      for (const std::string& kv : CollectTupleVars(*probe_side)) {
-        int idx = scope_.IndexOf(kv);
-        if (idx < 0 || idx == var) {
-          self_reference = true;
-          break;
-        }
-        spec.probe_vars.push_back(static_cast<size_t>(idx));
+      if (o.op == BinaryOp::kEq) {
+        ARIEL_ASSIGN_OR_RETURN(JoinKeySpec spec, CompileKeySpec(o));
+        specs[var].push_back(std::move(spec));
       }
-      if (self_reference || spec.probe_vars.empty()) continue;
-      ARIEL_ASSIGN_OR_RETURN(spec.entry_expr,
-                             CompileExpr(*entry_side, scope_));
-      ARIEL_ASSIGN_OR_RETURN(spec.probe_expr,
-                             CompileExpr(*probe_side, scope_));
-      spec.description = entry_side->ToString() + " = " +
-                         probe_side->ToString();
-      specs[var].push_back(std::move(spec));
+    } else if (alpha.is_virtual() && o.op == BinaryOp::kEq) {
+      // A virtual memory probes the relation's shared join hash index.
+      RelationProbe probe;
+      probe.var = var;
+      probe.attr_name = o.attr;
+      probe.key_vars = o.other_vars;
+      ARIEL_ASSIGN_OR_RETURN(probe.key_expr, CompileExpr(*o.other, scope_));
+      ARIEL_ASSIGN_OR_RETURN(probe.index,
+                             alpha.spec().relation->AcquireJoinIndex(o.attr));
+      relation_probes_.push_back(std::move(probe));
     }
   }
   for (size_t v = 0; v < n; ++v) {
@@ -386,137 +419,28 @@ Status RuleNetwork::ConfigureAlphaJoinIndexes() {
   return Status::OK();
 }
 
-Result<std::vector<JoinKeySpec>> RuleNetwork::DeriveBetaKeySpecs(
-    size_t level) const {
-  std::vector<JoinKeySpec> specs;
-  const size_t arriving = level + 1;
-  for (const ExprPtr& expr : join_exprs_) {
-    if (expr->kind != ExprKind::kBinary) continue;
-    const auto& bin = static_cast<const BinaryExpr&>(*expr);
-    if (bin.op != BinaryOp::kEq) continue;
-    for (bool flip : {false, true}) {
-      const Expr* entry_side = flip ? bin.rhs.get() : bin.lhs.get();
-      const Expr* probe_side = flip ? bin.lhs.get() : bin.rhs.get();
-      // Entry side: evaluable over the stored prefix [0, level]; probe
-      // side: evaluable over the arriving token alone.
-      bool entry_ok = true;
-      bool entry_nonempty = false;
-      for (const std::string& ev : CollectTupleVars(*entry_side)) {
-        int idx = scope_.IndexOf(ev);
-        if (idx < 0 || static_cast<size_t>(idx) > level) entry_ok = false;
-        entry_nonempty = true;
-      }
-      if (!entry_ok || !entry_nonempty) continue;
-      JoinKeySpec spec;
-      bool probe_ok = true;
-      for (const std::string& pv : CollectTupleVars(*probe_side)) {
-        int idx = scope_.IndexOf(pv);
-        if (idx < 0 || static_cast<size_t>(idx) != arriving) probe_ok = false;
-        spec.probe_vars.push_back(static_cast<size_t>(idx));
-      }
-      if (!probe_ok || spec.probe_vars.empty()) continue;
-      ARIEL_ASSIGN_OR_RETURN(spec.entry_expr,
-                             CompileExpr(*entry_side, scope_));
-      ARIEL_ASSIGN_OR_RETURN(spec.probe_expr,
-                             CompileExpr(*probe_side, scope_));
-      spec.description = entry_side->ToString() + " = " +
-                         probe_side->ToString();
-      specs.push_back(std::move(spec));
-    }
-  }
-  return specs;
-}
-
 Status RuleNetwork::ConfigureBetas() {
   const size_t n = alphas_.size();
   beta_.clear();
   beta_.resize(n);
   for (size_t level = 1; level + 1 < n; ++level) {
-    ARIEL_ASSIGN_OR_RETURN(std::vector<JoinKeySpec> specs,
-                           DeriveBetaKeySpecs(level));
+    std::vector<JoinKeySpec> specs;
+    for (const JoinOrientation& o : orientations_) {
+      if (o.op != BinaryOp::kEq || o.side_vars.empty() ||
+          o.other_vars.empty()) {
+        continue;
+      }
+      const bool side_in_prefix = std::all_of(
+          o.side_vars.begin(), o.side_vars.end(),
+          [&](size_t v) { return v <= level; });
+      const bool other_arriving = std::all_of(
+          o.other_vars.begin(), o.other_vars.end(),
+          [&](size_t v) { return v == level + 1; });
+      if (!side_in_prefix || !other_arriving) continue;
+      ARIEL_ASSIGN_OR_RETURN(JoinKeySpec spec, CompileKeySpec(o));
+      specs.push_back(std::move(spec));
+    }
     beta_[level].Configure(n, std::move(specs));
-  }
-  return Status::OK();
-}
-
-Status RuleNetwork::RecordBandedProbes(size_t conjunct_idx,
-                                       const Expr& conjunct) {
-  if (conjunct.kind != ExprKind::kBinary) return Status::OK();
-  const auto& bin = static_cast<const BinaryExpr&>(conjunct);
-  if (!IsComparison(bin.op)) return Status::OK();
-
-  // Either side of `a.x <op> <expr>` yields a probe into a's memory when
-  // the column side is a bare (non-previous) reference into a stored memory
-  // and the key side touches only other variables.
-  for (bool flip : {false, true}) {
-    const Expr* col_side = flip ? bin.rhs.get() : bin.lhs.get();
-    const Expr* key_side = flip ? bin.lhs.get() : bin.rhs.get();
-    if (col_side->kind != ExprKind::kColumnRef) continue;
-    const auto& ref = static_cast<const ColumnRefExpr&>(*col_side);
-    if (ref.previous || ref.is_all()) continue;
-    int var = scope_.IndexOf(ref.tuple_var);
-    if (var < 0) continue;
-    if (!alphas_[var]->stores_tuples()) continue;
-    int col = alphas_[var]->spec().relation->schema().IndexOf(ref.attribute);
-    if (col < 0) continue;
-
-    BandedProbe probe;
-    probe.conjunct = conjunct_idx;
-    probe.var = static_cast<size_t>(var);
-    probe.col = static_cast<size_t>(col);
-    probe.op = flip ? MirrorComparison(bin.op) : bin.op;
-    bool self_reference = false;
-    for (const std::string& kv : CollectTupleVars(*key_side)) {
-      int idx = scope_.IndexOf(kv);
-      if (idx < 0 || idx == var) {
-        self_reference = true;
-        break;
-      }
-      probe.key_vars.push_back(static_cast<size_t>(idx));
-    }
-    if (self_reference) continue;
-    ARIEL_ASSIGN_OR_RETURN(probe.key_expr, CompileExpr(*key_side, scope_));
-    banded_probes_.push_back(std::move(probe));
-  }
-  return Status::OK();
-}
-
-Status RuleNetwork::RecordRelationProbes(const Expr& conjunct) {
-  if (conjunct.kind != ExprKind::kBinary) return Status::OK();
-  const auto& bin = static_cast<const BinaryExpr&>(conjunct);
-  if (bin.op != BinaryOp::kEq) return Status::OK();
-
-  // Either side of `a.x = <expr>` yields a probe into a's memory when the
-  // other side depends only on other variables.
-  for (bool flip : {false, true}) {
-    const Expr* ref_side = flip ? bin.rhs.get() : bin.lhs.get();
-    const Expr* key_side = flip ? bin.lhs.get() : bin.rhs.get();
-    if (ref_side->kind != ExprKind::kColumnRef) continue;
-    const auto& ref = static_cast<const ColumnRefExpr&>(*ref_side);
-    if (ref.previous || ref.is_all()) continue;
-    int var = scope_.IndexOf(ref.tuple_var);
-    if (var < 0) continue;
-    const AlphaMemory& alpha = *alphas_[var];
-    if (!alpha.is_virtual()) continue;  // stored memories hash their entries
-    if (!AttrListed(alpha.spec().equijoin_attrs, ref.attribute)) continue;
-
-    RelationProbe probe;
-    probe.var = static_cast<size_t>(var);
-    probe.attr_name = ToLower(ref.attribute);
-    bool self_reference = false;
-    for (const std::string& kv : CollectTupleVars(*key_side)) {
-      int idx = scope_.IndexOf(kv);
-      if (idx < 0 || idx == var) {
-        self_reference = true;
-        break;
-      }
-      probe.key_vars.push_back(static_cast<size_t>(idx));
-    }
-    if (self_reference || probe.key_vars.empty()) continue;
-    ARIEL_ASSIGN_OR_RETURN(probe.key_expr, CompileExpr(*key_side, scope_));
-    ARIEL_ASSIGN_OR_RETURN(probe.index, alpha.spec().relation->AcquireJoinIndex(
-                                            ref.attribute));
-    relation_probes_.push_back(std::move(probe));
   }
   return Status::OK();
 }
@@ -722,27 +646,7 @@ Status RuleNetwork::PrimeBetas(Optimizer* optimizer) {
   if (backend_ != JoinBackend::kRete) return Status::OK();
   ARIEL_RETURN_NOT_OK(ConfigureBetas());
   for (size_t level = 1; level + 1 < n; ++level) {
-    // Plan the prefix join over variables [0, level] using their
-    // selections plus the join conjuncts fully contained in the prefix.
-    std::vector<PlanVar> vars;
-    std::vector<ExprPtr> conjuncts;
-    for (size_t v = 0; v <= level; ++v) {
-      vars.push_back(PlanVar{alphas_[v]->spec().var_name,
-                             alphas_[v]->spec().relation, false});
-      if (alphas_[v]->spec().selection != nullptr) {
-        conjuncts.push_back(alphas_[v]->spec().selection->Clone());
-      }
-    }
-    for (const ExprPtr& join : join_exprs_) {
-      bool in_prefix = true;
-      for (const std::string& name : CollectTupleVars(*join)) {
-        int idx = scope_.IndexOf(name);
-        if (idx < 0 || static_cast<size_t>(idx) > level) in_prefix = false;
-      }
-      if (in_prefix) conjuncts.push_back(join->Clone());
-    }
-    ExprPtr qual = CombineConjuncts(std::move(conjuncts));
-    ARIEL_ASSIGN_OR_RETURN(Plan plan, optimizer->BuildPlan(vars, qual.get()));
+    ARIEL_ASSIGN_OR_RETURN(Plan plan, PlanOver(*optimizer, 0, level + 1));
     ARIEL_ASSIGN_OR_RETURN(std::vector<Row> rows, plan.CollectRows());
     for (const Row& prefix_row : rows) {
       Row widened(n);
@@ -1026,23 +930,22 @@ void RuleNetwork::FlushDynamicMemories() {
 }
 
 Status RuleNetwork::Prime(Optimizer* optimizer, uint64_t pnode_epoch) {
-  // Load stored α-memories from the base relations.
+  // Load stored α-memories from the base relations, each through its
+  // one-variable sequential scan plan. Entries go in heap slot order: an
+  // index scan's key order would make the order later tokens meet
+  // candidates in depend on which indexes exist.
+  OptimizerOptions scan_options = optimizer->options();
+  scan_options.enable_index_scan = false;
+  const Optimizer heap_order(scan_options);
   for (auto& alpha : alphas_) {
     if (alpha->kind() != AlphaKind::kStored) continue;
     alpha->Flush();
-    const HeapRelation* relation = alpha->spec().relation;
-    const CompiledExpr* selection = alpha->compiled_selection();
-    Row scratch(alphas_.size());
-    for (TupleId tid : relation->AllTupleIds()) {
-      const Tuple* tuple = relation->Get(tid);
-      if (tuple == nullptr) continue;
-      if (selection != nullptr) {
-        scratch.Set(alpha->var_ordinal(), *tuple, tid);
-        ARIEL_ASSIGN_OR_RETURN(bool keep, selection->EvalPredicate(scratch));
-        if (!keep) continue;
-      }
-      alpha->InsertEntry(AlphaEntry{tid, *tuple, Tuple()});
-    }
+    const size_t v = alpha->var_ordinal();
+    ARIEL_ASSIGN_OR_RETURN(Plan plan, PlanOver(heap_order, v, v + 1));
+    ARIEL_RETURN_NOT_OK(plan.root->Execute([&](const Row& row) {
+      alpha->InsertEntry(AlphaEntry{row.tids[0], row.current[0], Tuple()});
+      return Status::OK();
+    }));
   }
 
   // Load the P-node by running a query equivalent to the whole condition —
@@ -1055,9 +958,15 @@ Status RuleNetwork::Prime(Optimizer* optimizer, uint64_t pnode_epoch) {
     }
   }
   ARIEL_RETURN_NOT_OK(PrimeBetas(optimizer));
+  pnode_->Clear();
+  // An empty stored memory leaves the condition nothing to join.
+  for (const auto& alpha : alphas_) {
+    if (alpha->kind() == AlphaKind::kStored && alpha->entries().empty()) {
+      return Status::OK();
+    }
+  }
   ARIEL_ASSIGN_OR_RETURN(std::vector<Row> rows,
                          RecomputeInstantiations(optimizer));
-  pnode_->Clear();
   for (const Row& row : rows) {
     ARIEL_RETURN_NOT_OK(
         pnode_->Insert(row, MatchStamp{pnode_epoch, ordinal_}));
@@ -1075,19 +984,30 @@ Result<std::vector<Row>> RuleNetwork::RecomputeInstantiations(
           "transition conditions");
     }
   }
+  ARIEL_ASSIGN_OR_RETURN(Plan plan, PlanOver(*optimizer, 0, alphas_.size()));
+  return plan.CollectRows();
+}
+
+Result<Plan> RuleNetwork::PlanOver(const Optimizer& optimizer,
+                                   size_t first, size_t last) const {
   std::vector<PlanVar> vars;
   std::vector<ExprPtr> conjuncts;
-  for (const auto& alpha : alphas_) {
-    vars.push_back(PlanVar{alpha->spec().var_name, alpha->spec().relation,
-                           false});
-    if (alpha->spec().selection != nullptr) {
-      conjuncts.push_back(alpha->spec().selection->Clone());
+  for (size_t v = first; v < last; ++v) {
+    const AlphaSpec& spec = alphas_[v]->spec();
+    vars.push_back(PlanVar{spec.var_name, spec.relation, false});
+    if (spec.selection != nullptr) {
+      conjuncts.push_back(spec.selection->Clone());
     }
   }
-  for (const ExprPtr& expr : join_exprs_) conjuncts.push_back(expr->Clone());
+  for (size_t c = 0; c < join_exprs_.size(); ++c) {
+    const std::vector<size_t>& reads = join_conjuncts_[c].vars;
+    if (std::all_of(reads.begin(), reads.end(),
+                    [&](size_t v) { return v >= first && v < last; })) {
+      conjuncts.push_back(join_exprs_[c]->Clone());
+    }
+  }
   ExprPtr qual = CombineConjuncts(std::move(conjuncts));
-  ARIEL_ASSIGN_OR_RETURN(Plan plan, optimizer->BuildPlan(vars, qual.get()));
-  return plan.CollectRows();
+  return optimizer.BuildPlan(vars, qual.get());
 }
 
 std::vector<std::string> RuleNetwork::AuditJoinIndexes() const {

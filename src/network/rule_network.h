@@ -52,13 +52,34 @@ struct AlphaSpec {
   /// True when the condition references `previous var`: the memory stores
   /// (new, old) pairs and only transition (Δ) tokens reach it.
   bool has_previous = false;
-  /// Key metadata handed down by the rule compiler: attributes of this
-  /// variable that appear as a bare column reference in an equality join
-  /// conjunct whose other side does not touch the variable. The network
-  /// keys its hash join buckets (stored memories) and leases relation join
-  /// hash indexes (virtual memories) only on these.
-  std::vector<std::string> equijoin_attrs;
 };
+
+/// One orientation `side <op> other` of a binary comparison join conjunct.
+/// AnalyzeJoinConjuncts splits each such conjunct into its two orientations
+/// once; every keyed access a rule's activation derives (the compiler's
+/// adaptive virtual choice, stored-α hash keys, relation-index leases,
+/// banded prefilters, Rete β keys) filters these and compiles the sides.
+struct JoinOrientation {
+  size_t conjunct = 0;          // ordinal among the rule's join conjuncts
+  BinaryOp op = BinaryOp::kEq;  // normalized: side <op> other
+  const Expr* side = nullptr;
+  const Expr* other = nullptr;
+  std::vector<size_t> side_vars;   // ordinals of the variables `side` reads
+  std::vector<size_t> other_vars;  // ... and `other` reads
+  /// The column side, set when `side` is a bare, non-previous column
+  /// `var.attr` and `other` reads variables other than var — a key into
+  /// var's memory or relation. var is -1 otherwise.
+  int var = -1;
+  std::string attr;  // lowercased
+  int col = -1;      // attr's position in var's schema (-1: no such attr)
+};
+
+/// Analyzes a rule's join conjuncts against the tuple variables of `scope`,
+/// matched by name (so the compiler can call it before any network
+/// exists). Orientations are listed conjunct by conjunct, the conjunct as
+/// written first; a conjunct reading a variable outside `scope` yields none.
+std::vector<JoinOrientation> AnalyzeJoinConjuncts(
+    const std::vector<ExprPtr>& conjuncts, const Scope& scope);
 
 /// One entry of a stored/dynamic α-memory.
 struct AlphaEntry {
@@ -109,7 +130,8 @@ class AlphaMemory {
   void Flush();
 
   /// Hash join indexes over the entries (configured by RuleNetwork::Init
-  /// from the rule's equijoin conjuncts; empty for unkeyed memories).
+  /// from the rule's keyed equality orientations; empty for unkeyed
+  /// memories).
   const JoinKeyIndex& join_index() const { return join_index_; }
   JoinKeyIndex* mutable_join_index() { return &join_index_; }
 
@@ -368,25 +390,26 @@ class RuleNetwork {
   [[nodiscard]] Result<bool> JoinConjunctsHold(size_t j, const std::vector<bool>& bound,
                                  const Row& row) const;
 
-  /// Leases the relation join hash index for each equijoin conjunct into a
-  /// virtual α-memory over a compiler-flagged attribute (called once per
-  /// conjunct by Init).
-  [[nodiscard]] Status RecordRelationProbes(const Expr& conjunct);
+  /// Derives every keyed access from orientations_ (called once by Init):
+  /// stored-α hash keys, relation-index leases for virtual memories, and
+  /// banded prefilter probes when columnar execution is on.
+  [[nodiscard]] Status DeriveKeyedAccess();
 
-  /// Derives and installs the hash key specs for every stored α-memory
-  /// from the rule's equijoin conjuncts, gated on the compiler's
-  /// AlphaSpec::equijoin_attrs metadata (called once by Init).
-  [[nodiscard]] Status ConfigureAlphaJoinIndexes();
+  /// The hash key `side = other` of an equality orientation.
+  [[nodiscard]] Result<JoinKeySpec> CompileKeySpec(
+      const JoinOrientation& o) const;
 
-  /// Key specs usable to probe β_level with a token bound at variable
-  /// level + 1: equality conjuncts whose one side reads only variables in
-  /// the prefix [0, level] and whose other side reads only the arriving
-  /// variable.
-  [[nodiscard]] Result<std::vector<JoinKeySpec>> DeriveBetaKeySpecs(size_t level) const;
-
-  /// (Re)creates the β chain with configured key specs and postings
-  /// (Init and PrimeBetas).
+  /// (Re)creates the β chain with postings and the key specs usable to
+  /// probe β_level with a token bound at variable level + 1: equality
+  /// orientations whose side reads only the prefix [0, level] and whose
+  /// other side reads only the arriving variable (Init and PrimeBetas).
   [[nodiscard]] Status ConfigureBetas();
+
+  /// Plans the query over variables [first, last): their selections plus
+  /// every join conjunct that reads only them. Plan row slot i holds
+  /// variable first + i. Priming and recomputation all run through it.
+  [[nodiscard]] Result<Plan> PlanOver(const Optimizer& optimizer,
+                                      size_t first, size_t last) const;
 
   // --- Rete backend ---
 
@@ -423,6 +446,8 @@ class RuleNetwork {
     std::vector<size_t> vars;
   };
   std::vector<CompiledConjunct> join_conjuncts_;
+  /// The join conjuncts' orientations (AnalyzeJoinConjuncts; set by Init).
+  std::vector<JoinOrientation> orientations_;
 
   /// An equijoin conjunct `var.attr = key(other vars)` into a virtual
   /// α-memory: when every key variable is bound, evaluate `key_expr` once
@@ -458,11 +483,6 @@ class RuleNetwork {
     std::vector<size_t> key_vars;
   };
   std::vector<BandedProbe> banded_probes_;
-
-  /// Derives BandedProbes from one join conjunct (called by Init, in
-  /// conjunct order, when columnar execution is on).
-  [[nodiscard]] Status RecordBandedProbes(size_t conjunct_idx,
-                                          const Expr& conjunct);
 
   /// adjacency_[i][j] = true when some join conjunct touches both i and j.
   std::vector<std::vector<bool>> adjacency_;

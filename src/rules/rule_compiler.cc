@@ -282,7 +282,7 @@ Result<CompiledRule> CompileRule(const DefineRuleCommand& rule,
     std::string name;
     const HeapRelation* relation = nullptr;
     std::vector<ExprPtr> selections;
-    std::set<std::string> equijoin_attrs;
+    bool keyed = false;  // an equality join conjunct keys into it
     bool has_previous = false;
     bool is_event = false;
   };
@@ -365,30 +365,16 @@ Result<CompiledRule> CompileRule(const DefineRuleCommand& rule,
     }
   }
 
-  // Equijoin key metadata for the network's hash join indexes: for each
-  // equality join conjunct with a bare column reference on one side whose
-  // other side does not touch that variable, flag the attribute on the
-  // variable's α-memory spec. The network derives both hash key specs and
-  // B+tree probe paths only from flagged attributes.
-  for (const ExprPtr& conjunct : join_conjuncts) {
-    if (conjunct->kind != ExprKind::kBinary) continue;
-    const auto& bin = static_cast<const BinaryExpr&>(*conjunct);
-    if (bin.op != BinaryOp::kEq) continue;
-    for (bool flip : {false, true}) {
-      const Expr* ref_side = flip ? bin.rhs.get() : bin.lhs.get();
-      const Expr* key_side = flip ? bin.lhs.get() : bin.rhs.get();
-      if (ref_side->kind != ExprKind::kColumnRef) continue;
-      const auto& ref = static_cast<const ColumnRefExpr&>(*ref_side);
-      if (ref.previous || ref.is_all()) continue;
-      VarInfo* v = find_var(ref.tuple_var);
-      if (v == nullptr) continue;
-      std::vector<std::string> key_vars = CollectTupleVars(*key_side);
-      bool self_reference = key_vars.empty();
-      for (const std::string& kv : key_vars) {
-        if (kv == v->name) self_reference = true;
-      }
-      if (self_reference) continue;
-      v->equijoin_attrs.insert(ToLower(ref.attribute));
+  // Which variables an equality join conjunct keys into: the adaptive
+  // policy need not copy such a variable's relation into a stored memory.
+  {
+    Scope scope;
+    for (const VarInfo& v : vars) {
+      scope.Add(VarBinding{v.name, &v.relation->schema(), v.has_previous});
+    }
+    for (const JoinOrientation& o :
+         AnalyzeJoinConjuncts(join_conjuncts, scope)) {
+      if (o.var >= 0 && o.op == BinaryOp::kEq) vars[o.var].keyed = true;
     }
   }
 
@@ -441,8 +427,6 @@ Result<CompiledRule> CompileRule(const DefineRuleCommand& rule,
     spec.var_name = v.name;
     spec.relation = v.relation;
     spec.has_previous = v.has_previous;
-    spec.equijoin_attrs.assign(v.equijoin_attrs.begin(),
-                               v.equijoin_attrs.end());
     if (v.is_event) {
       spec.on_event = *rule.event;
       // Normalize attribute names for case-insensitive matching.
@@ -475,8 +459,7 @@ Result<CompiledRule> CompileRule(const DefineRuleCommand& rule,
           // A selection-free memory would copy the whole relation, tuple
           // for tuple; when an equijoin key can probe the relation's join
           // hash index instead, that copy buys nothing whatever its size.
-          const bool copies_relation =
-              spec.selection == nullptr && !spec.equijoin_attrs.empty();
+          const bool copies_relation = spec.selection == nullptr && v.keyed;
           double estimated = selectivity * static_cast<double>(
                                                v.relation->size());
           spec.kind = copies_relation || estimated >= policy.virtual_threshold

@@ -201,11 +201,14 @@ TEST_F(RuleNetworkTest, StoredSelfJoinMatchesVirtualBehaviour) {
 }
 
 TEST_F(RuleNetworkTest, PrimeLoadsMemoriesAndPnode) {
+  // Salaries descend with the heap slot, and sal is indexed: a stored
+  // memory still loads in slot order, not the index's key order.
   for (int i = 0; i < 4; ++i) {
     ASSERT_OK(emp_->Insert(Tuple(std::vector<Value>{
-                                 Value::String("e"), Value::Int(10 * i),
+                                 Value::String("e"), Value::Int(10 * (3 - i)),
                                  Value::Int(1)})));
   }
+  ASSERT_OK(emp_->CreateIndex("sal"));
   ASSERT_OK(dept_->Insert(Tuple(std::vector<Value>{Value::Int(1),
                                                      Value::String("d")})));
   std::vector<AlphaSpec> specs;
@@ -217,7 +220,9 @@ TEST_F(RuleNetworkTest, PrimeLoadsMemoriesAndPnode) {
   ASSERT_OK(net.Init());
   Optimizer optimizer;
   ASSERT_OK(net.Prime(&optimizer, 1));
-  EXPECT_EQ(net.alpha(0)->entries().size(), 2u);  // sal 20, 30
+  ASSERT_EQ(net.alpha(0)->entries().size(), 2u);
+  EXPECT_EQ(net.alpha(0)->entries()[0].value.at(1), Value::Int(30));
+  EXPECT_EQ(net.alpha(0)->entries()[1].value.at(1), Value::Int(20));
   EXPECT_EQ(net.alpha(1)->entries().size(), 1u);
   EXPECT_EQ(net.pnode()->size(), 2u);
 }
@@ -269,18 +274,14 @@ TEST_F(RuleNetworkTest, InterleavedInsertRemoveKeepsMapAndIndexConsistent) {
   // removals hitting front, middle, and back slots must keep entries(), the
   // TID→slot map, and the hash join index in agreement at every step.
   std::vector<AlphaSpec> specs;
-  AlphaSpec e = Spec("emp", emp_, AlphaKind::kStored, "");
-  e.equijoin_attrs = {"dno"};
-  specs.push_back(std::move(e));
-  AlphaSpec d = Spec("dept", dept_, AlphaKind::kStored, "");
-  d.equijoin_attrs = {"dno"};
-  specs.push_back(std::move(d));
+  specs.push_back(Spec("emp", emp_, AlphaKind::kStored, ""));
+  specs.push_back(Spec("dept", dept_, AlphaKind::kStored, ""));
   std::vector<ExprPtr> joins;
   joins.push_back(Parse("emp.dno = dept.dno"));
   RuleNetwork net("r", 7010, std::move(specs), std::move(joins));
   ASSERT_OK(net.Init());
   AlphaMemory* mem = net.alpha(0);
-  ASSERT_TRUE(mem->join_index().has_specs());  // the metadata gate engaged
+  ASSERT_TRUE(mem->join_index().has_specs());  // keyed by emp.dno = dept.dno
 
   auto entry = [](uint32_t slot, int64_t dno) {
     return AlphaEntry{TupleId{1, slot},
