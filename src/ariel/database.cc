@@ -629,11 +629,13 @@ Status Database::ApplyUndo(UndoRecord* record) {
     case UndoKind::kCreateRelation: {
       // Tuple records for anything inserted into the new relation sit above
       // this one and were already compensated; the relation is empty. A
-      // rule over it could only be defined after the create, inside this
-      // frame, and rule administration is not undone: the rule goes with
-      // its relation instead of keeping α-memories on a freed heap.
+      // rule with an α-memory over it was activated inside this frame, and
+      // rule administration is not undone: the rule goes with its relation
+      // instead of keeping α-memories on a freed heap. Rules that merely
+      // name a tuple variable after the relation are untouched.
       const std::string name = record->name;
-      for (const std::string& rule : rules_->RulesReferencing(name)) {
+      for (const std::string& rule :
+           rules_->RulesOver(catalog_.GetRelation(name))) {
         ARIEL_RETURN_NOT_OK(rules_->RemoveRule(rule));
       }
       return catalog_.DropRelation(name);

@@ -171,14 +171,13 @@ std::vector<std::string> RuleManager::RuleNames() const {
   return names;
 }
 
-std::vector<std::string> RuleManager::RulesReferencing(
-    const std::string& relation_name) const {
-  const std::string lower = ToLower(relation_name);
-  auto references = [&](const Rule& rule) {
-    const DefineRuleCommand& def = *rule.definition;
-    if (rule.active && rule.network != nullptr) {
-      for (size_t i = 0; i < rule.network->num_vars(); ++i) {
-        if (rule.network->alpha(i)->spec().relation->name() == lower) {
+bool RuleManager::AnyRuleReferences(const std::string& relation_name) const {
+  std::string lower = ToLower(relation_name);
+  for (const auto& [name, rule] : rules_) {
+    const DefineRuleCommand& def = *rule->definition;
+    if (rule->active && rule->network != nullptr) {
+      for (size_t i = 0; i < rule->network->num_vars(); ++i) {
+        if (rule->network->alpha(i)->spec().relation->name() == lower) {
           return true;
         }
       }
@@ -194,11 +193,21 @@ std::vector<std::string> RuleManager::RulesReferencing(
         if (var == lower) return true;
       }
     }
-    return false;
-  };
+  }
+  return false;
+}
+
+std::vector<std::string> RuleManager::RulesOver(
+    const HeapRelation* relation) const {
   std::vector<std::string> names;
   for (const auto& [name, rule] : rules_) {
-    if (references(*rule)) names.push_back(name);
+    if (!rule->active || rule->network == nullptr) continue;
+    for (size_t i = 0; i < rule->network->num_vars(); ++i) {
+      if (rule->network->alpha(i)->spec().relation == relation) {
+        names.push_back(name);
+        break;
+      }
+    }
   }
   return names;
 }

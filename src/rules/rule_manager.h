@@ -99,14 +99,13 @@ class RuleManager {
   /// All rule names, sorted (introspection).
   std::vector<std::string> RuleNames() const;
 
-  /// Installed rules whose definition references `relation_name`, sorted
-  /// (destroying such a relation is refused; undoing its creation removes
-  /// them).
-  std::vector<std::string> RulesReferencing(
-      const std::string& relation_name) const;
-  bool AnyRuleReferences(const std::string& relation_name) const {
-    return !RulesReferencing(relation_name).empty();
-  }
+  /// True if any installed rule's definition references `relation_name`
+  /// (used to refuse destroying relations rules depend on).
+  bool AnyRuleReferences(const std::string& relation_name) const;
+
+  /// Active rules with an α-memory over `relation`, sorted (undoing the
+  /// relation's creation removes them before the drop).
+  std::vector<std::string> RulesOver(const HeapRelation* relation) const;
 
   size_t num_rules() const { return rules_.size(); }
 

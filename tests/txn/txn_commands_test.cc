@@ -100,17 +100,28 @@ TEST_F(TxnCommandsTest, AbortUndoesDdl) {
 
 // Rule administration is not undone, but a rule over a relation the
 // aborted frame created cannot outlive that relation: the abort removes it
-// with the relation instead of leaving its α-memories on a freed heap.
+// with the relation instead of leaving its α-memories on a freed heap. A
+// rule over another relation whose tuple variable is named after the
+// dropped one stays.
 TEST_F(TxnCommandsTest, AbortRemovesRulesOverRelationsItDrops) {
+  ASSERT_OK(db_->Execute(
+      "define rule alias if tmp.x > 0 from tmp in t "
+      "then append to log (msg = \"alias\")"));
   ASSERT_OK(db_->Execute("begin"));
   ASSERT_OK(db_->Execute("create tmp (x = int)"));
   ASSERT_OK(db_->Execute(
       "define rule rt if tmp.x > 0 then append to log (msg = \"rt\")"));
+  ASSERT_OK(db_->Execute(
+      "define rule rz if z.x > 0 from z in tmp "
+      "then append to log (msg = \"rz\")"));
   ASSERT_OK(db_->Execute("abort"));
 
-  auto explain = db_->Execute("explain rule rt");
-  ASSERT_FALSE(explain.ok());
-  EXPECT_EQ(explain.status().code(), StatusCode::kNotFound);
+  for (const char* gone : {"rt", "rz"}) {
+    auto explain = db_->Execute(std::string("explain rule ") + gone);
+    ASSERT_FALSE(explain.ok()) << gone;
+    EXPECT_EQ(explain.status().code(), StatusCode::kNotFound) << gone;
+  }
+  ASSERT_OK(db_->Execute("explain rule alias"));
   auto violations = db_->AuditNetwork();
   ASSERT_OK(violations);
   EXPECT_TRUE(violations->empty());
@@ -118,6 +129,8 @@ TEST_F(TxnCommandsTest, AbortRemovesRulesOverRelationsItDrops) {
   ASSERT_OK(db_->Execute("create tmp (x = int)"));
   ASSERT_OK(db_->Execute("append tmp (x = 5)"));
   EXPECT_EQ(Count("log"), 0u);
+  ASSERT_OK(db_->Execute("append t (x = 5)"));
+  EXPECT_EQ(Count("log"), 1u);
 }
 
 TEST_F(TxnCommandsTest, TransactionMisuseIsAnError) {
