@@ -90,6 +90,12 @@ bool MatchEquiJoin(const Expr& expr, const Scope& scope, size_t* left_var,
 
 Result<Plan> Optimizer::BuildPlan(const std::vector<PlanVar>& vars,
                                   const Expr* qual) const {
+  return BuildPlan(vars, qual != nullptr ? SplitConjuncts(*qual)
+                                         : std::vector<ExprPtr>{});
+}
+
+Result<Plan> Optimizer::BuildPlan(const std::vector<PlanVar>& vars,
+                                  std::vector<ExprPtr> qual) const {
   // Build the scope. P-node columns already include previous values as
   // plain columns, so has_previous is false for all plan variables.
   Scope scope;
@@ -104,20 +110,18 @@ Result<Plan> Optimizer::BuildPlan(const std::vector<PlanVar>& vars,
 
   // Split and classify conjuncts.
   std::vector<Conjunct> conjuncts;
-  if (qual != nullptr) {
-    for (ExprPtr& e : SplitConjuncts(*qual)) {
-      Conjunct c;
-      for (const std::string& name : CollectTupleVars(*e)) {
-        int idx = scope.IndexOf(name);
-        if (idx < 0) {
-          return Status::SemanticError("unknown tuple variable \"" + name +
-                                       "\" in qualification");
-        }
-        c.vars.push_back(static_cast<size_t>(idx));
+  for (ExprPtr& e : qual) {
+    Conjunct c;
+    for (const std::string& name : CollectTupleVars(*e)) {
+      int idx = scope.IndexOf(name);
+      if (idx < 0) {
+        return Status::SemanticError("unknown tuple variable \"" + name +
+                                     "\" in qualification");
       }
-      c.expr = std::move(e);
-      conjuncts.push_back(std::move(c));
+      c.vars.push_back(static_cast<size_t>(idx));
     }
+    c.expr = std::move(e);
+    conjuncts.push_back(std::move(c));
   }
 
   if (n == 0) {
@@ -206,7 +210,7 @@ Result<Plan> Optimizer::BuildPlan(const std::vector<PlanVar>& vars,
       c->used = true;
       if (std::find(bound_conjuncts.begin(), bound_conjuncts.end(), c) ==
           bound_conjuncts.end()) {
-        residual.push_back(c->expr->Clone());
+        residual.push_back(std::move(c->expr));
       }
     }
     const bool use_index = best_index != nullptr && !bound_conjuncts.empty();
@@ -216,37 +220,36 @@ Result<Plan> Optimizer::BuildPlan(const std::vector<PlanVar>& vars,
     // path — a conjunct that can raise (arithmetic, non-bool) is never
     // reordered before the mask, so `x != 0 and 1/x > 2` still short-
     // circuits. Index scans stay on the row path (their tid order comes
-    // from the index, not the heap batch).
+    // from the index, not the heap batch). The common case, a residual
+    // that vectorizes whole, compiles once; only a failure splits it.
     VectorPredicatePtr vector_filter;
     CompiledExprPtr row_residual;
-    if (options_.columnar_exec && !use_index && !residual.empty()) {
+    ExprPtr residual_expr = CombineConjuncts(std::move(residual));
+    if (options_.columnar_exec && !use_index && residual_expr) {
       const Schema& schema = vars[v].relation->schema();
       const std::string& var_name = scope.var(v).name;
-      size_t prefix = 0;
-      while (prefix < residual.size() &&
-             VectorPredicate::Compile(*residual[prefix], var_name, schema) !=
-                 nullptr) {
-        ++prefix;
-      }
-      if (prefix > 0) {
-        std::vector<ExprPtr> head;
-        head.reserve(prefix);
-        for (size_t i = 0; i < prefix; ++i) {
-          head.push_back(residual[i]->Clone());
+      vector_filter = VectorPredicate::Compile(*residual_expr, var_name, schema);
+      if (vector_filter == nullptr) {
+        std::vector<ExprPtr> parts = SplitConjuncts(*residual_expr);
+        size_t prefix = 0;
+        while (prefix < parts.size() &&
+               VectorPredicate::Compile(*parts[prefix], var_name, schema) !=
+                   nullptr) {
+          ++prefix;
         }
-        ExprPtr head_expr = CombineConjuncts(std::move(head));
-        vector_filter = VectorPredicate::Compile(*head_expr, var_name, schema);
-        std::vector<ExprPtr> tail;
-        for (size_t i = prefix; i < residual.size(); ++i) {
-          tail.push_back(residual[i]->Clone());
-        }
-        if (ExprPtr tail_expr = CombineConjuncts(std::move(tail))) {
+        if (prefix > 0) {
+          std::vector<ExprPtr> tail(
+              std::make_move_iterator(parts.begin() + prefix),
+              std::make_move_iterator(parts.end()));
+          parts.resize(prefix);
+          ExprPtr head_expr = CombineConjuncts(std::move(parts));
+          vector_filter =
+              VectorPredicate::Compile(*head_expr, var_name, schema);
+          ExprPtr tail_expr = CombineConjuncts(std::move(tail));
           ARIEL_ASSIGN_OR_RETURN(row_residual, CompileExpr(*tail_expr, scope));
         }
       }
     }
-
-    ExprPtr residual_expr = CombineConjuncts(std::move(residual));
     CompiledExprPtr filter;
     if (residual_expr) {
       ARIEL_ASSIGN_OR_RETURN(filter, CompileExpr(*residual_expr, scope));

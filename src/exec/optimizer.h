@@ -56,6 +56,10 @@ class Optimizer {
   /// concurrent read path can plan against a snapshot.
   [[nodiscard]] Result<Plan> BuildPlan(const std::vector<PlanVar>& vars,
                                        const Expr* qual) const;
+  /// The same over a qualification already split into its conjuncts
+  /// (SplitConjuncts), which the plan takes over instead of cloning.
+  [[nodiscard]] Result<Plan> BuildPlan(const std::vector<PlanVar>& vars,
+                                       std::vector<ExprPtr> qual) const;
 
   const OptimizerOptions& options() const { return options_; }
   void set_options(OptimizerOptions options) { options_ = options; }

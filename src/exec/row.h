@@ -30,7 +30,14 @@ struct Row {
 
   size_t num_vars() const { return current.size(); }
 
-  void Set(size_t var, Tuple value, TupleId tid = {}) {
+  /// Copies into the slot's existing storage, so a scan that refills one
+  /// row per tuple does not allocate per tuple.
+  void Set(size_t var, const Tuple& value, TupleId tid = {}) {
+    current[var] = value;
+    tids[var] = tid;
+    filled[var] = true;
+  }
+  void Set(size_t var, Tuple&& value, TupleId tid = {}) {
     current[var] = std::move(value);
     tids[var] = tid;
     filled[var] = true;

@@ -14,6 +14,44 @@ namespace {
 /// a mask; below this the per-scan kernel setup costs more than it saves.
 constexpr size_t kColumnarPrefilterMinEntries = 16;
 
+/// Adds the ordinals of the tuple variables `expr` reads to `out`, each
+/// once, in first-appearance order (CollectTupleVars without the names);
+/// false when one is not in `scope`.
+bool ResolveVars(const Expr& expr, const Scope& scope,
+                 std::vector<size_t>* out) {
+  auto add = [&](const std::string& name) {
+    const int idx = scope.IndexOf(name);
+    if (idx < 0) return false;
+    const size_t v = static_cast<size_t>(idx);
+    if (std::find(out->begin(), out->end(), v) == out->end()) {
+      out->push_back(v);
+    }
+    return true;
+  };
+  switch (expr.kind) {
+    case ExprKind::kLiteral:
+      return true;
+    case ExprKind::kColumnRef:
+      return add(static_cast<const ColumnRefExpr&>(expr).tuple_var);
+    case ExprKind::kNew:
+      return add(static_cast<const NewExpr&>(expr).tuple_var);
+    case ExprKind::kAggregate: {
+      const auto& agg = static_cast<const AggregateExpr&>(expr);
+      if (!agg.tuple_var.empty() && !add(agg.tuple_var)) return false;
+      return agg.operand == nullptr || ResolveVars(*agg.operand, scope, out);
+    }
+    case ExprKind::kBinary: {
+      const auto& bin = static_cast<const BinaryExpr&>(expr);
+      return ResolveVars(*bin.lhs, scope, out) &&
+             ResolveVars(*bin.rhs, scope, out);
+    }
+    case ExprKind::kUnary:
+      return ResolveVars(*static_cast<const UnaryExpr&>(expr).operand, scope,
+                         out);
+  }
+  return true;
+}
+
 }  // namespace
 
 const char* AlphaKindToString(AlphaKind kind) {
@@ -322,22 +360,16 @@ Status RuleNetwork::Init() {
 
 std::vector<JoinOrientation> AnalyzeJoinConjuncts(
     const std::vector<ExprPtr>& conjuncts, const Scope& scope) {
-  auto resolve = [&](const Expr& expr, std::vector<size_t>* out) {
-    for (const std::string& name : CollectTupleVars(expr)) {
-      const int idx = scope.IndexOf(name);
-      if (idx < 0) return false;
-      out->push_back(static_cast<size_t>(idx));
-    }
-    return true;
-  };
   std::vector<JoinOrientation> out;
+  out.reserve(2 * conjuncts.size());
   for (size_t c = 0; c < conjuncts.size(); ++c) {
     if (conjuncts[c]->kind != ExprKind::kBinary) continue;
     const auto& bin = static_cast<const BinaryExpr&>(*conjuncts[c]);
     if (!IsComparison(bin.op)) continue;
     std::vector<size_t> lhs_vars;
     std::vector<size_t> rhs_vars;
-    if (!resolve(*bin.lhs, &lhs_vars) || !resolve(*bin.rhs, &rhs_vars)) {
+    if (!ResolveVars(*bin.lhs, scope, &lhs_vars) ||
+        !ResolveVars(*bin.rhs, scope, &rhs_vars)) {
       continue;
     }
     for (bool flip : {false, true}) {
@@ -346,8 +378,13 @@ std::vector<JoinOrientation> AnalyzeJoinConjuncts(
       o.op = flip ? MirrorComparison(bin.op) : bin.op;
       o.side = flip ? bin.rhs.get() : bin.lhs.get();
       o.other = flip ? bin.lhs.get() : bin.rhs.get();
-      o.side_vars = flip ? rhs_vars : lhs_vars;
-      o.other_vars = flip ? lhs_vars : rhs_vars;
+      if (flip) {  // the last orientation takes the lists over
+        o.side_vars = std::move(rhs_vars);
+        o.other_vars = std::move(lhs_vars);
+      } else {
+        o.side_vars = lhs_vars;
+        o.other_vars = rhs_vars;
+      }
       if (o.side->kind == ExprKind::kColumnRef && !o.other_vars.empty()) {
         const auto& ref = static_cast<const ColumnRefExpr&>(*o.side);
         const size_t var = o.side_vars.front();
@@ -958,15 +995,9 @@ Status RuleNetwork::Prime(Optimizer* optimizer, uint64_t pnode_epoch) {
     }
   }
   ARIEL_RETURN_NOT_OK(PrimeBetas(optimizer));
-  pnode_->Clear();
-  // An empty stored memory leaves the condition nothing to join.
-  for (const auto& alpha : alphas_) {
-    if (alpha->kind() == AlphaKind::kStored && alpha->entries().empty()) {
-      return Status::OK();
-    }
-  }
   ARIEL_ASSIGN_OR_RETURN(std::vector<Row> rows,
                          RecomputeInstantiations(optimizer));
+  pnode_->Clear();
   for (const Row& row : rows) {
     ARIEL_RETURN_NOT_OK(
         pnode_->Insert(row, MatchStamp{pnode_epoch, ordinal_}));
@@ -996,18 +1027,21 @@ Result<Plan> RuleNetwork::PlanOver(const Optimizer& optimizer,
     const AlphaSpec& spec = alphas_[v]->spec();
     vars.push_back(PlanVar{spec.var_name, spec.relation, false});
     if (spec.selection != nullptr) {
-      conjuncts.push_back(spec.selection->Clone());
+      for (ExprPtr& e : SplitConjuncts(*spec.selection)) {
+        conjuncts.push_back(std::move(e));
+      }
     }
   }
   for (size_t c = 0; c < join_exprs_.size(); ++c) {
     const std::vector<size_t>& reads = join_conjuncts_[c].vars;
     if (std::all_of(reads.begin(), reads.end(),
                     [&](size_t v) { return v >= first && v < last; })) {
-      conjuncts.push_back(join_exprs_[c]->Clone());
+      for (ExprPtr& e : SplitConjuncts(*join_exprs_[c])) {
+        conjuncts.push_back(std::move(e));
+      }
     }
   }
-  ExprPtr qual = CombineConjuncts(std::move(conjuncts));
-  return optimizer.BuildPlan(vars, qual.get());
+  return optimizer.BuildPlan(vars, std::move(conjuncts));
 }
 
 std::vector<std::string> RuleNetwork::AuditJoinIndexes() const {
