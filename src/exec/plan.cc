@@ -150,9 +150,10 @@ Status NestedLoopJoinNode::Execute(const RowConsumer& consume) {
     inner.push_back(row);
     return Status::OK();
   }));
+  Row combined;  // refilled per pair, reusing its storage
   return children_[0]->Execute([&](const Row& outer) -> Status {
     for (const Row& inner_row : inner) {
-      Row combined = outer;
+      combined = outer;
       combined.MergeFrom(inner_row);
       if (predicate_) {
         ARIEL_ASSIGN_OR_RETURN(bool keep, predicate_->EvalPredicate(combined));
