@@ -108,7 +108,7 @@ Result<Plan> Optimizer::BuildPlan(const std::vector<PlanVar>& vars,
   }
   size_t n = vars.size();
 
-  // Split and classify conjuncts.
+  // Classify conjuncts by the variables they read.
   std::vector<Conjunct> conjuncts;
   for (ExprPtr& e : qual) {
     Conjunct c;
