@@ -1,6 +1,7 @@
 #ifndef ARIEL_STORAGE_HEAP_RELATION_H_
 #define ARIEL_STORAGE_HEAP_RELATION_H_
 
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -25,8 +26,13 @@ namespace ariel {
 /// store (DetachForWrite), so pinned readers keep an immutable image while
 /// the relation moves on. In the steady state no snapshot is outstanding at
 /// mutation time and the clone never happens.
+///
+/// Slots live in fixed-size blocks (a deque), so appending never moves the
+/// slots already there: a growing relation never holds its slot array
+/// twice while it is reallocated, and its memory rises with its row count
+/// instead of jumping at each power of two.
 struct TupleStore {
-  std::vector<std::optional<Tuple>> slots;
+  std::deque<std::optional<Tuple>> slots;
   std::vector<uint32_t> free_slots;
   size_t live_count = 0;
 };
